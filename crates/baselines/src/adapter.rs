@@ -9,19 +9,19 @@ use ts3_tensor::Tensor;
 use ts3net_core::{ForecastModel, ImputationModel};
 
 /// Wraps a `T -> T` forecaster as an imputer.
-pub struct ReconstructionAdapter<M: ForecastModel> {
-    inner: M,
+pub struct ReconstructionAdapter {
+    inner: Box<dyn ForecastModel>,
 }
 
-impl<M: ForecastModel> ReconstructionAdapter<M> {
+impl ReconstructionAdapter {
     /// Wrap a forecaster whose horizon equals its lookback.
-    pub fn new(inner: M) -> Self {
+    pub fn new(inner: Box<dyn ForecastModel>) -> Self {
         ReconstructionAdapter { inner }
     }
 
     /// Access the wrapped model.
-    pub fn inner(&self) -> &M {
-        &self.inner
+    pub fn inner(&self) -> &dyn ForecastModel {
+        &*self.inner
     }
 }
 
@@ -29,7 +29,7 @@ impl<M: ForecastModel> ReconstructionAdapter<M> {
 /// (re-export of the canonical helper in `ts3_nn::metrics`).
 pub use ts3_nn::mean_fill;
 
-impl<M: ForecastModel> ImputationModel for ReconstructionAdapter<M> {
+impl ImputationModel for ReconstructionAdapter {
     fn impute(&self, masked: &Tensor, mask: &Tensor, ctx: &mut Ctx) -> Var {
         let filled = mean_fill(masked, mask);
         let y = self.inner.forecast(&filled, ctx);
@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn adapter_reconstructs_full_window() {
         let cfg = BaselineConfig::scaled(2, 16, 16);
-        let m = ReconstructionAdapter::new(DLinear::new(&cfg, 1));
+        let m = ReconstructionAdapter::new(Box::new(DLinear::new(&cfg, 1)));
         let x = Tensor::randn(&[1, 16, 2], 1);
         let mask = Tensor::zeros(&[1, 16, 2]);
         let mut ctx = Ctx::eval();
@@ -91,7 +91,7 @@ mod tests {
     #[should_panic(expected = "horizon == lookback")]
     fn adapter_rejects_mismatched_horizon() {
         let cfg = BaselineConfig::scaled(2, 16, 8);
-        let m = ReconstructionAdapter::new(DLinear::new(&cfg, 1));
+        let m = ReconstructionAdapter::new(Box::new(DLinear::new(&cfg, 1)));
         let x = Tensor::zeros(&[1, 16, 2]);
         let mask = Tensor::zeros(&[1, 16, 2]);
         let mut ctx = Ctx::eval();

@@ -68,9 +68,12 @@ pub fn build_forecaster(
     }
 }
 
-/// Build an imputer by paper name: TS3Net uses its dedicated imputer; all
-/// baselines are wrapped through the reconstruction adapter (requires
-/// `horizon == lookback` in `cfg`).
+/// Build an imputer by paper name: TS3Net uses its dedicated imputer;
+/// every other [`build_forecaster`] model is wrapped through the
+/// reconstruction adapter (requires `horizon == lookback` in `cfg`).
+///
+/// # Panics
+/// Panics on an unknown model name.
 pub fn build_imputer(
     name: &str,
     cfg: &BaselineConfig,
@@ -81,21 +84,10 @@ pub fn build_imputer(
         cfg.lookback, cfg.horizon,
         "imputation requires horizon == lookback"
     );
-    match name {
-        "TS3Net" => Box::new(TS3NetImputer::new(ts3_cfg.clone(), seed)),
-        "PatchTST" => Box::new(ReconstructionAdapter::new(PatchTst::new(cfg, seed))),
-        "TimesNet" => Box::new(ReconstructionAdapter::new(TimesNet::new(cfg, seed))),
-        "MICN" => Box::new(ReconstructionAdapter::new(Micn::new(cfg, seed))),
-        "LightTS" => Box::new(ReconstructionAdapter::new(LightTS::new(cfg, seed))),
-        "DLinear" => Box::new(ReconstructionAdapter::new(DLinear::new(cfg, seed))),
-        "FEDformer" => Box::new(ReconstructionAdapter::new(FedFormer::new(cfg, seed))),
-        "Stationary" => Box::new(ReconstructionAdapter::new(Stationary::new(cfg, seed))),
-        "Autoformer" => Box::new(ReconstructionAdapter::new(Autoformer::new(cfg, seed))),
-        "Pyraformer" => Box::new(ReconstructionAdapter::new(Pyraformer::new(cfg, seed))),
-        "Informer" => Box::new(ReconstructionAdapter::new(Informer::new(cfg, seed))),
-        // ts3-lint: allow(no-unwrap-in-lib) model names come from the fixed benchmark lists; unknown names are a documented # Panics contract
-        other => panic!("unknown model name `{other}`"),
+    if name == "TS3Net" {
+        return Box::new(TS3NetImputer::new(ts3_cfg.clone(), seed));
     }
+    Box::new(ReconstructionAdapter::new(build_forecaster(name, cfg, ts3_cfg, seed)))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use ts3_rng::SeedableRng;
 use ts3_autograd::{Param, Var};
 use ts3_nn::{Activation, Ctx, Mlp, Module};
 use ts3_tensor::{moving_avg_same, Tensor};
-use ts3net_core::{ForecastModel, PlanState, TimeLinear};
+use ts3net_core::{ForecastModel, TimeLinear};
 
 /// DLinear: decompose into trend (moving average, kernel 25) + remainder
 /// and forecast each part with a single linear layer over the time axis.
@@ -31,9 +31,18 @@ impl DLinear {
 
 impl ForecastModel for DLinear {
     fn forecast(&self, x: &Tensor, ctx: &mut Ctx) -> Var {
-        let trend = moving_avg_same(x, 1, self.kernel);
-        let seasonal = x.sub(&trend);
-        let yt = self.trend.forward(&Var::constant(trend), ctx);
+        // Serving-timeline seams (inert outside a served batch).
+        let (trend, seasonal) = {
+            let _tl = ts3_obs::stage_scope("decompose");
+            let trend = moving_avg_same(x, 1, self.kernel);
+            let seasonal = x.sub(&trend);
+            (trend, seasonal)
+        };
+        let yt = {
+            let _tl = ts3_obs::stage_scope("trend_linear");
+            self.trend.forward(&Var::constant(trend), ctx)
+        };
+        let _tl = ts3_obs::stage_scope("seasonal_linear");
         let ys = self.seasonal.forward(&Var::constant(seasonal), ctx);
         yt.add(&ys)
     }
@@ -46,42 +55,6 @@ impl ForecastModel for DLinear {
 
     fn name(&self) -> &str {
         "DLinear"
-    }
-
-    // Staged lowering for `CompiledPlan`: the two-branch structure cut at
-    // its seams. Slots: 0 = trend, 1 = seasonal, 2 = trend forecast.
-
-    fn plan_slots(&self) -> usize {
-        3
-    }
-
-    fn plan_stages(&self) -> Vec<String> {
-        vec![
-            "decompose".to_string(),
-            "trend_linear".to_string(),
-            "seasonal_linear".to_string(),
-        ]
-    }
-
-    fn run_plan_stage(&self, idx: usize, st: &mut PlanState) {
-        let mut ctx = Ctx::eval();
-        match idx {
-            0 => {
-                let trend = moving_avg_same(st.input(), 1, self.kernel);
-                let seasonal = st.input().sub(&trend);
-                st.set_slot(0, trend);
-                st.set_slot(1, seasonal);
-            }
-            1 => {
-                let yt = self.trend.forward(&Var::constant(st.slot(0).clone()), &mut ctx);
-                st.set_slot(2, yt.value().clone());
-            }
-            _ => {
-                let ys = self.seasonal.forward(&Var::constant(st.slot(1).clone()), &mut ctx);
-                let y = Var::constant(st.slot(2).clone()).add(&ys);
-                st.set_output(y.value().clone());
-            }
-        }
     }
 }
 

@@ -5,7 +5,6 @@
 use crate::config::TS3NetConfig;
 use crate::heads::{Autoregression, PredictionHead};
 use crate::ops::iwt;
-use crate::plan::PlanState;
 use crate::sgd_layer::SgdLayer;
 use crate::tf_block::{branch_plans, TfBlock};
 use crate::traits::ForecastModel;
@@ -52,6 +51,8 @@ pub struct TS3Net {
     fluct_head: PredictionHead,
     trend_head: Autoregression,
     display_name: String,
+    /// Serving-timeline stage name of each backbone step (`block{l}`).
+    block_stages: Vec<String>,
 }
 
 impl TS3Net {
@@ -120,6 +121,7 @@ impl TS3Net {
             (false, true) => "TS3Net w/o TF-Block".to_string(),
             (true, true) => "TS3Net w/o Both".to_string(),
         };
+        let block_stages = (0..cfg.n_blocks).map(|l| format!("block{l}")).collect();
         TS3Net {
             cfg,
             embed,
@@ -131,6 +133,7 @@ impl TS3Net {
             fluct_head,
             trend_head,
             display_name,
+            block_stages,
         }
     }
 
@@ -139,8 +142,8 @@ impl TS3Net {
     fn backbone(&self, h0: Var, t_f: usize, ctx: &mut Ctx) -> (Var, Option<Var>) {
         let mut h = h0;
         let mut fluct_sum: Option<Var> = None;
-        let n = self.cfg.n_blocks;
-        for l in 0..n {
+        for (l, stage) in self.block_stages.iter().enumerate() {
+            let _tl = ts3_obs::stage_scope(stage);
             let h_in = if self.cfg.ablation.without_td {
                 h.clone()
             } else {
@@ -176,28 +179,48 @@ impl ForecastModel for TS3Net {
             _s.field("b", x.shape()[0]);
             _s.field("lookback", self.cfg.lookback);
             _s.field("horizon", self.cfg.horizon);
-            ts3_obs::counter_add("ts3net.forecast.calls", 1);
+            // Counts taped forecasts only: a served run (no-grad, inside
+            // `CompiledPlan::run`) is counted by `plan.run.calls`.
+            if ts3_autograd::is_recording() {
+                ts3_obs::counter_add("ts3net.forecast.calls", 1);
+            }
         }
+        // Each `stage_scope` files one execute segment into the serving
+        // timeline when a batch scope is open on this thread (a served
+        // `CompiledPlan::run`); everywhere else it is a single gate load.
         if self.cfg.ablation.without_td {
             // Ablation: no decomposition at all — plain backbone + head.
-            let h0 = self.embed.forward(&Var::constant(x.clone()), ctx);
+            let h0 = {
+                let _tl = ts3_obs::stage_scope("embed");
+                self.embed.forward(&Var::constant(x.clone()), ctx)
+            };
             let (h, _) = self.backbone(h0, 0, ctx);
+            let _tl = ts3_obs::stage_scope("heads");
             return self.regular_head.forward(&h, ctx);
         }
         // (1) Trend decomposition (Eq. 1).
-        let (trend, seasonal) = batch_trend_split(x, &DEFAULT_TREND_KERNELS);
+        let (trend, seasonal) = {
+            let _tl = ts3_obs::stage_scope("trend_split");
+            batch_trend_split(x, &DEFAULT_TREND_KERNELS)
+        };
         // (2) Dominant sub-series length T_f (Eq. 2). Clamped to T/2: the
         // spectrum gradient needs u = T / T_f >= 2 sub-series to have any
         // chunk difference at all.
-        let t_f = self
-            .cfg
-            .t_f
-            .unwrap_or_else(|| batch_dominant_period(&seasonal))
-            .clamp(2, (self.cfg.lookback / 2).max(2));
+        let t_f = {
+            let _tl = ts3_obs::stage_scope("select_t_f");
+            self.cfg
+                .t_f
+                .unwrap_or_else(|| batch_dominant_period(&seasonal))
+                .clamp(2, (self.cfg.lookback / 2).max(2))
+        };
         // (3) Seasonal branch through the S-GD / TF-Block stack.
-        let h0 = self.embed.forward(&Var::constant(seasonal), ctx);
+        let h0 = {
+            let _tl = ts3_obs::stage_scope("embed");
+            self.embed.forward(&Var::constant(seasonal), ctx)
+        };
         let (h, fluct_sum) = self.backbone(h0, t_f, ctx);
         // (4) Heads (Eq. 14-16).
+        let _tl = ts3_obs::stage_scope("heads");
         let y_regular = self.regular_head.forward(&h, ctx);
         let y_trend = self.trend_head.forward(&Var::constant(trend), ctx);
         let mut y = y_regular.add(&y_trend);
@@ -230,103 +253,6 @@ impl ForecastModel for TS3Net {
         &self.display_name
     }
 
-    // Staged lowering for `CompiledPlan`: the eager forward above, cut at
-    // its natural seams. Slot layout: 0 = trend, 1 = seasonal, 2 = the
-    // running feature map `h`, 3 = the accumulated fluctuant 2-D part;
-    // scalar 0 = the dominant sub-series length `T_f`. Each stage re-runs
-    // exactly the tensor computation the eager path runs on the same
-    // values, so plan outputs stay bitwise identical.
-
-    fn plan_slots(&self) -> usize {
-        4
-    }
-
-    fn plan_stages(&self) -> Vec<String> {
-        let mut stages = Vec::new();
-        if !self.cfg.ablation.without_td {
-            stages.push("trend_split".to_string());
-            stages.push("select_t_f".to_string());
-        }
-        stages.push("embed".to_string());
-        for l in 0..self.cfg.n_blocks {
-            stages.push(format!("block{l}"));
-        }
-        stages.push("heads".to_string());
-        stages
-    }
-
-    fn run_plan_stage(&self, idx: usize, st: &mut PlanState) {
-        let mut ctx = Ctx::eval();
-        let pre = if self.cfg.ablation.without_td { 0 } else { 2 };
-        if !self.cfg.ablation.without_td && idx == 0 {
-            // Stage "trend_split" (Eq. 1).
-            let (trend, seasonal) = batch_trend_split(st.input(), &DEFAULT_TREND_KERNELS);
-            st.set_slot(0, trend);
-            st.set_slot(1, seasonal);
-            return;
-        }
-        if !self.cfg.ablation.without_td && idx == 1 {
-            // Stage "select_t_f" (Eq. 2), same clamp as the eager path.
-            let t_f = self
-                .cfg
-                .t_f
-                .unwrap_or_else(|| batch_dominant_period(st.slot(1)))
-                .clamp(2, (self.cfg.lookback / 2).max(2));
-            st.set_scalar(0, t_f);
-            return;
-        }
-        if idx == pre {
-            // Stage "embed".
-            let x = if self.cfg.ablation.without_td {
-                st.input().clone()
-            } else {
-                st.slot(1).clone()
-            };
-            let h0 = self.embed.forward(&Var::constant(x), &mut ctx);
-            st.set_slot(2, h0.value().clone());
-            return;
-        }
-        let block_idx = idx - pre - 1;
-        if block_idx < self.cfg.n_blocks {
-            // Stage "block{l}": one S-GD + TF-Block (or MLP) step of the
-            // backbone loop.
-            let h = Var::constant(st.slot(2).clone());
-            let h_in = if self.cfg.ablation.without_td {
-                h
-            } else {
-                let out = self.sgd.forward(&h, st.scalar(0));
-                let acc = if st.has_slot(3) {
-                    Var::constant(st.slot(3).clone()).add(&out.fluctuant_2d)
-                } else {
-                    out.fluctuant_2d
-                };
-                st.set_slot(3, acc.value().clone());
-                out.regular
-            };
-            let h_next = if self.cfg.ablation.without_tf_block {
-                self.mlp_blocks[block_idx].forward(&h_in, &mut ctx).add(&h_in)
-            } else {
-                self.blocks[block_idx].forward(&h_in, &mut ctx)
-            };
-            st.set_slot(2, h_next.value().clone());
-            return;
-        }
-        // Stage "heads" (Eq. 14-17).
-        let h = Var::constant(st.slot(2).clone());
-        let y_regular = self.regular_head.forward(&h, &mut ctx);
-        if self.cfg.ablation.without_td {
-            st.set_output(y_regular.value().clone());
-            return;
-        }
-        let y_trend = self.trend_head.forward(&Var::constant(st.slot(0).clone()), &mut ctx);
-        let mut y = y_regular.add(&y_trend);
-        if st.has_slot(3) {
-            let f1d = iwt(&Var::constant(st.slot(3).clone()), &self.plans[0]);
-            let y_fluct = self.fluct_head.forward(&f1d, &mut ctx);
-            y = y.add(&y_fluct);
-        }
-        st.set_output(y.value().clone());
-    }
 }
 
 #[cfg(test)]

@@ -19,9 +19,10 @@
 //!   CPU-scaled reproduction profile;
 //! * [`traits`] — the [`ForecastModel`] / [`ImputationModel`] interfaces
 //!   shared with every baseline;
-//! * [`plan`] — compiled inference plans ([`CompiledPlan`]): a frozen
-//!   model lowered into ordered tape-free stages with snapshotted
-//!   weights, bitwise identical to the eager forward.
+//! * [`plan`] — compiled inference plans ([`CompiledPlan`]): snapshotted
+//!   weights plus the model's own eager forward run under no-grad,
+//!   bitwise identical to the taped forward. Per-stage serving timelines
+//!   come from `ts3_obs::stage_scope` seams inside the forwards.
 //!
 //! ```
 //! use ts3net_core::{TS3Net, TS3NetConfig, ForecastModel};
@@ -51,7 +52,7 @@ pub use forecaster::{batch_dominant_period, batch_trend_split, TS3Net};
 pub use heads::{Autoregression, PredictionHead, TimeLinear};
 pub use imputer::TS3NetImputer;
 pub use ops::{cwt_amplitude, iwt};
-pub use plan::{CompiledPlan, PlanError, PlanState};
+pub use plan::{CompiledPlan, PlanError};
 pub use sgd_layer::{SgdLayer, SgdOutput};
 pub use tf_block::{branch_plans, TfBlock};
 pub use traits::{ForecastModel, ImputationModel};

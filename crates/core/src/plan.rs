@@ -1,23 +1,25 @@
-//! Compiled inference plans: freeze a trained [`ForecastModel`] into an
-//! ordered stage list that executes without an autograd tape.
+//! Compiled inference plans: freeze a trained [`ForecastModel`] into
+//! snapshotted weights plus its eager forward run without an autograd
+//! tape.
 //!
-//! Training wants the tape; serving does not. A [`CompiledPlan`] lowers a
-//! model into the ordered stage list the model itself declares
-//! ([`ForecastModel::plan_stages`]), snapshots every parameter tensor,
-//! and executes under [`ts3_autograd::NoGradGuard`] — each intermediate
+//! Training wants the tape; serving does not. A [`CompiledPlan`]
+//! snapshots every parameter tensor and runs the model's own
+//! [`ForecastModel::forecast`] under [`ts3_autograd::NoGradGuard`] — each
 //! op returns a parentless leaf, so no graph, no backward closures, and
-//! no per-call tape allocation exist on the serving path. Intermediate
-//! stage results live in a slot table preallocated at freeze time
-//! ([`PlanState`]); kernel-internal scratch (matmul packing buffers, FFT
-//! plan scratch) is reused through the existing thread-local caches.
+//! no per-call tape allocation exist on the serving path. Per-stage
+//! serving timelines come from the `ts3_obs::stage_scope` seams inside
+//! the eager forwards (TS3Net: `trend_split`, `select_t_f`, `embed`,
+//! `block{l}`, `heads`; DLinear: `decompose`, `trend_linear`,
+//! `seasonal_linear`).
 //!
 //! Two contracts, both enforced:
 //!
 //! * **Bitwise equivalence.** Every `Var` op computes its value eagerly
 //!   before touching the tape, so suppressing the tape cannot change a
 //!   single bit. [`CompiledPlan::freeze`] still *verifies* this on the
-//!   calibration batch and refuses to build a plan whose output differs
-//!   from the eager forward ([`PlanError::Diverged`]).
+//!   calibration batch (guarding the weight swap and the no-grad guard)
+//!   and refuses to build a plan whose output differs from the eager
+//!   forward ([`PlanError::Diverged`]).
 //! * **Frozen weights.** The plan owns a snapshot of every parameter and
 //!   swaps it in (O(1) pointer swaps, no copies) around each execution,
 //!   so a model that keeps training between plan runs does not perturb
@@ -37,7 +39,6 @@
 //! let plan = CompiledPlan::freeze(Rc::new(model), &calib).unwrap();
 //! let served = plan.run(&calib).unwrap();
 //! assert_eq!(served.as_slice(), eager.as_slice()); // bitwise, not approximate
-//! assert!(plan.stages().len() > 1); // TS3Net lowers into real stages
 //! ```
 
 use crate::traits::ForecastModel;
@@ -45,6 +46,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 use ts3_autograd::{NoGradGuard, Param};
+use ts3_nn::Ctx;
 use ts3_tensor::Tensor;
 
 /// Why a plan could not be built or executed.
@@ -57,16 +59,16 @@ pub enum PlanError {
         /// The offending input shape.
         got: Vec<usize>,
     },
+    /// The calibration batch is not a rank-3 `[B, T, C]` tensor.
+    CalibShape {
+        /// The offending calibration shape.
+        got: Vec<usize>,
+    },
     /// Freeze-time verification found the plan output differing from the
-    /// eager forward. This indicates a broken staged lowering.
+    /// eager forward at the same weights.
     Diverged {
         /// Largest absolute element difference observed.
         max_abs_diff: f32,
-    },
-    /// A stage pipeline finished without writing the output slot.
-    MissingOutput {
-        /// Name of the final stage that should have produced it.
-        last_stage: String,
     },
 }
 
@@ -78,96 +80,20 @@ impl fmt::Display for PlanError {
                 "plan expects [B, {}, {}] input, got {:?}",
                 expected[0], expected[1], got
             ),
+            PlanError::CalibShape { got } => {
+                write!(f, "calibration batch must be [B, T, C], got {got:?}")
+            }
             PlanError::Diverged { max_abs_diff } => write!(
                 f,
                 "compiled plan diverged from the eager forward (max |diff| = {max_abs_diff:e})"
             ),
-            PlanError::MissingOutput { last_stage } => {
-                write!(f, "stage pipeline ended without an output (last stage: {last_stage})")
-            }
         }
     }
 }
 
 impl std::error::Error for PlanError {}
 
-/// Mutable execution state threaded through a plan's stages: the current
-/// input, the output slot, a fixed table of intermediate tensor slots
-/// (sized by [`ForecastModel::plan_slots`] at freeze time) and a small
-/// bank of integer scalars (for data-dependent constants such as the
-/// dominant period `T_f`).
-pub struct PlanState {
-    input: Tensor,
-    output: Option<Tensor>,
-    slots: Vec<Option<Tensor>>,
-    scalars: Vec<usize>,
-}
-
-impl PlanState {
-    fn new(n_slots: usize) -> PlanState {
-        PlanState {
-            input: Tensor::zeros(&[0]),
-            output: None,
-            slots: (0..n_slots).map(|_| None).collect(),
-            scalars: vec![0; 4],
-        }
-    }
-
-    fn reset(&mut self, input: Tensor) {
-        self.input = input;
-        self.output = None;
-        for s in &mut self.slots {
-            *s = None;
-        }
-        for s in &mut self.scalars {
-            *s = 0;
-        }
-    }
-
-    /// The batch currently being executed.
-    pub fn input(&self) -> &Tensor {
-        &self.input
-    }
-
-    /// Write the final forecast.
-    pub fn set_output(&mut self, y: Tensor) {
-        self.output = Some(y);
-    }
-
-    /// Read intermediate slot `i`.
-    ///
-    /// # Panics
-    /// Panics if the slot was never written — a staged lowering bug.
-    pub fn slot(&self, i: usize) -> &Tensor {
-        match &self.slots[i] {
-            Some(t) => t,
-            // ts3-lint: allow(no-unwrap-in-lib) staged-lowering contract violation; documented # Panics
-            None => panic!("plan stage read slot {i} before any stage wrote it"),
-        }
-    }
-
-    /// Write intermediate slot `i`.
-    pub fn set_slot(&mut self, i: usize, t: Tensor) {
-        self.slots[i] = Some(t);
-    }
-
-    /// True if slot `i` holds a tensor.
-    pub fn has_slot(&self, i: usize) -> bool {
-        self.slots[i].is_some()
-    }
-
-    /// Read integer scalar `i` (0 until written).
-    pub fn scalar(&self, i: usize) -> usize {
-        self.scalars[i]
-    }
-
-    /// Write integer scalar `i`.
-    pub fn set_scalar(&mut self, i: usize, v: usize) {
-        self.scalars[i] = v;
-    }
-}
-
-/// Restores the swapped-in snapshot on drop, so a panicking stage cannot
+/// Restores the swapped-in snapshot on drop, so a panicking forward cannot
 /// leave frozen weights live in the shared parameters.
 struct WeightSwap<'a> {
     snapshot: &'a mut [(Param, Tensor)],
@@ -191,15 +117,13 @@ impl Drop for WeightSwap<'_> {
     }
 }
 
-/// A model frozen for inference: ordered stages, snapshotted weights,
-/// preallocated state, no tape. Built by [`CompiledPlan::freeze`]; run
-/// with [`CompiledPlan::run`]. `!Send` by construction (models are
-/// `Rc`-based graphs); a serving layer owns plans on one executor thread.
+/// A model frozen for inference: snapshotted weights plus the eager
+/// forward under no-grad. Built by [`CompiledPlan::freeze`]; run with
+/// [`CompiledPlan::run`]. `!Send` by construction (models are `Rc`-based
+/// graphs); a serving layer owns plans on one executor thread.
 pub struct CompiledPlan {
     model: Rc<dyn ForecastModel>,
-    stages: Vec<String>,
     snapshot: RefCell<Vec<(Param, Tensor)>>,
-    state: RefCell<PlanState>,
     lookback: usize,
     c_in: usize,
     name: String,
@@ -207,20 +131,21 @@ pub struct CompiledPlan {
 
 impl CompiledPlan {
     /// Freeze `model` into a plan, verifying on `calib` (a representative
-    /// `[B, T, C]` batch) that the staged execution is bitwise identical
-    /// to the eager forward at the current weights.
+    /// `[B, T, C]` batch) that the plan's output is bitwise identical to
+    /// the taped eager forward at the current weights.
     ///
     /// The model's parameters are snapshotted: training the model further
     /// does not change this plan's outputs.
     ///
     /// A calibration batch with `B == 0` still fixes the plan's
-    /// `[lookback, c_in]` geometry but skips the eager/staged self-check
-    /// (there is nothing to compare). This is the cheap-refreeze path: a
-    /// serving layer that swaps updated weights in and refreezes on a
-    /// live executor thread can do so without paying a forward pass,
-    /// because the staged lowering was already verified by the original
-    /// full-batch freeze.
+    /// `[lookback, c_in]` geometry but skips the self-check (there is
+    /// nothing to compare). This is the cheap-refreeze path: a serving
+    /// layer that swaps updated weights in and refreezes on a live
+    /// executor thread can do so without paying a forward pass.
     pub fn freeze(model: Rc<dyn ForecastModel>, calib: &Tensor) -> Result<CompiledPlan, PlanError> {
+        if calib.rank() != 3 {
+            return Err(PlanError::CalibShape { got: calib.shape().to_vec() });
+        }
         let mut span = ts3_obs::span("plan.freeze");
         if span.active() {
             span.field("model", model.name().to_string());
@@ -233,15 +158,11 @@ impl CompiledPlan {
                 (p, frozen)
             })
             .collect();
-        let stages = model.plan_stages();
-        debug_assert!(!stages.is_empty(), "a plan needs at least one stage");
         let plan = CompiledPlan {
-            state: RefCell::new(PlanState::new(model.plan_slots())),
             lookback: calib.shape()[1],
             c_in: calib.shape()[2],
             name: model.name().to_string(),
             model,
-            stages,
             snapshot: RefCell::new(snapshot),
         };
         if calib.shape()[0] == 0 {
@@ -251,12 +172,12 @@ impl CompiledPlan {
         // exact computation training and evaluation run.
         let eager = plan
             .model
-            .forecast(calib, &mut ts3_nn::Ctx::eval())
+            .forecast(calib, &mut Ctx::eval())
             .value()
             .clone();
-        let staged = plan.run(calib)?;
-        if staged.as_slice() != eager.as_slice() {
-            let max_abs_diff = staged
+        let served = plan.run(calib)?;
+        if served.as_slice() != eager.as_slice() {
+            let max_abs_diff = served
                 .as_slice()
                 .iter()
                 .zip(eager.as_slice())
@@ -269,9 +190,9 @@ impl CompiledPlan {
 
     /// Execute the plan on a `[B, lookback, c_in]` batch (any `B`).
     ///
-    /// Swaps the frozen weights in, runs every stage under a
-    /// [`NoGradGuard`], and swaps the live weights back — even if a
-    /// stage panics.
+    /// Swaps the frozen weights in, runs the eager forward under a
+    /// [`NoGradGuard`], and swaps the live weights back — even if the
+    /// forward panics.
     pub fn run(&self, x: &Tensor) -> Result<Tensor, PlanError> {
         if x.rank() != 3 || x.shape()[1] != self.lookback || x.shape()[2] != self.c_in {
             return Err(PlanError::ShapeMismatch {
@@ -288,29 +209,7 @@ impl CompiledPlan {
         let mut snapshot = self.snapshot.borrow_mut();
         let _weights = WeightSwap::engage(&mut snapshot);
         let _no_grad = NoGradGuard::new();
-        let mut state = self.state.borrow_mut();
-        state.reset(x.clone());
-        for (i, stage) in self.stages.iter().enumerate() {
-            let mut stage_span = ts3_obs::span("plan.stage");
-            if stage_span.active() {
-                stage_span.field("stage", stage.clone());
-                stage_span.field("idx", i);
-            }
-            // Files a per-stage execute segment into the serving
-            // timeline when a batch scope is open on this thread; inert
-            // (and allocation-free) otherwise.
-            let _tl = ts3_obs::stage_scope(stage);
-            self.model.run_plan_stage(i, &mut state);
-        }
-        state.output.take().ok_or_else(|| PlanError::MissingOutput {
-            // ts3-lint: allow(no-unwrap-in-lib) stages is non-empty by the freeze-time debug_assert
-            last_stage: self.stages.last().expect("non-empty stage list").clone(),
-        })
-    }
-
-    /// The ordered stage names this plan executes.
-    pub fn stages(&self) -> &[String] {
-        &self.stages
+        Ok(self.model.forecast(x, &mut Ctx::eval()).value().clone())
     }
 
     /// The frozen model's display name.
@@ -318,7 +217,7 @@ impl CompiledPlan {
         &self.name
     }
 
-    /// The lowered model (parameters are shared with the live model, so
+    /// The frozen model (parameters are shared with the live model, so
     /// a trainer can keep stepping them between freezes).
     pub fn model(&self) -> &dyn ForecastModel {
         &*self.model
@@ -335,7 +234,6 @@ mod tests {
     use super::*;
     use crate::config::TS3NetConfig;
     use crate::forecaster::TS3Net;
-    use ts3_nn::Ctx;
 
     fn small_model() -> TS3Net {
         let mut cfg = TS3NetConfig::scaled(2, 24, 12);
@@ -363,6 +261,12 @@ mod tests {
         assert!(matches!(err, PlanError::ShapeMismatch { .. }), "{err}");
         // Batch size is free.
         assert!(plan.run(&Tensor::randn(&[7, 24, 2], 0)).is_ok());
+        // A calibration batch that is not [B, T, C] is a typed error,
+        // not an index panic.
+        let err = CompiledPlan::freeze(Rc::new(small_model()), &Tensor::randn(&[24, 2], 0))
+            .err()
+            .expect("rank-2 calib must be rejected");
+        assert!(matches!(err, PlanError::CalibShape { .. }), "{err}");
     }
 
     #[test]
@@ -382,16 +286,5 @@ mod tests {
         // And the live weights are restored after each run (swap-out).
         let eager_now = plan.model().forecast(&x, &mut Ctx::eval()).value().clone();
         assert_ne!(eager_now.as_slice(), before.as_slice());
-    }
-
-    #[test]
-    fn state_panics_on_unwritten_slot_read() {
-        let mut st = PlanState::new(2);
-        st.reset(Tensor::zeros(&[1]));
-        assert!(!st.has_slot(0));
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = st.slot(0);
-        }));
-        assert!(r.is_err());
     }
 }

@@ -1,6 +1,5 @@
 //! Task-level model interfaces shared by TS3Net and every baseline.
 
-use crate::plan::PlanState;
 use ts3_autograd::{Param, Var};
 use ts3_nn::Ctx;
 use ts3_tensor::Tensor;
@@ -20,34 +19,6 @@ pub trait ForecastModel {
     /// Total scalar weight count.
     fn num_parameters(&self) -> usize {
         self.parameters().iter().map(|p| p.numel()).sum()
-    }
-
-    // --- staged lowering (consumed by `CompiledPlan::freeze`) ---
-    //
-    // The default lowering is a single stage that replays the whole
-    // eager forward; because plan execution happens under a
-    // `NoGradGuard`, even that degenerate plan is tape-free and bitwise
-    // identical to training-path evaluation. Models with meaningful
-    // internal structure override the three hooks to expose per-stage
-    // `ts3-obs` spans and intermediate slots (TS3Net and DLinear do).
-
-    /// How many intermediate tensor slots the staged lowering uses.
-    fn plan_slots(&self) -> usize {
-        0
-    }
-
-    /// Ordered stage names of this model's lowering. Must be non-empty;
-    /// stage `i` is executed by [`ForecastModel::run_plan_stage`]`(i)`.
-    fn plan_stages(&self) -> Vec<String> {
-        vec!["forecast".to_string()]
-    }
-
-    /// Execute stage `idx` against the plan state. The final stage must
-    /// call [`PlanState::set_output`].
-    fn run_plan_stage(&self, idx: usize, st: &mut PlanState) {
-        debug_assert_eq!(idx, 0, "the default lowering has a single stage");
-        let y = self.forecast(st.input(), &mut Ctx::eval());
-        st.set_output(y.value().clone());
     }
 }
 

@@ -8,7 +8,7 @@
 //! ```text
 //! submitted ──queue-wait──▶ seen ──coalesce-hold──▶ flushed
 //!     (enqueue tick)   (coalescer first eval)   (batch formed)
-//!          ──execute (per plan stage, ns)──▶ responded
+//!          ──execute (per forward stage, ns)──▶ responded
 //! ```
 //!
 //! Tick-valued segments (queue-wait, hold, respond) come from the
@@ -252,7 +252,7 @@ impl Drop for BatchGuard {
     }
 }
 
-/// RAII guard timing one plan stage inside the current batch scope.
+/// RAII guard timing one forward stage inside the current batch scope.
 pub struct StageGuard {
     name: Option<String>,
     start: Option<Instant>,
@@ -260,8 +260,9 @@ pub struct StageGuard {
 
 /// Time one named stage of the batch currently executing on this
 /// thread. Inert when tracing is disabled or no batch scope is open —
-/// `CompiledPlan::run` calls this unconditionally and eager/test runs
-/// outside a batch pay only the gate load.
+/// model forwards (TS3Net, DLinear) call this unconditionally at their
+/// stage seams, so training, evaluation and test runs outside a served
+/// batch pay only the gate load and allocate nothing.
 pub fn stage_scope(name: &str) -> StageGuard {
     if !gate::enabled() || !CURRENT_BATCH.with(|b| b.borrow().is_some()) {
         return StageGuard { name: None, start: None };

@@ -134,7 +134,10 @@ fn online_metrics_dump_is_thread_cap_invariant() {
 }
 
 /// The timeline's deterministic digest (tick-valued request and batch
-/// records, ns excluded) is a pure function of the simulated work.
+/// records, ns excluded) is a pure function of the simulated work, and
+/// every batch lists the stage seams of its model's eager forward:
+/// tenant 0 (TS3Net) its triple decomposition and backbone steps,
+/// tenant 1 (DLinear) its two-branch split.
 #[test]
 fn timeline_digest_is_thread_cap_invariant() {
     let _g = lock();
@@ -157,6 +160,18 @@ fn timeline_digest_is_thread_cap_invariant() {
     assert!(digest_1.contains("r tenant="), "digest recorded no requests:\n{digest_1}");
     assert!(digest_1.contains("b tenant="), "digest recorded no batches");
     assert_eq!(digest_1, digest_4, "timeline digest differs across thread caps");
+    for line in digest_1.lines().filter(|l| l.starts_with("b tenant=")) {
+        let expected = if line.starts_with("b tenant=0 ") {
+            "stages=trend_split,select_t_f,embed,block0,block1,heads"
+        } else {
+            "stages=decompose,trend_linear,seasonal_linear"
+        };
+        assert!(line.ends_with(expected), "batch reports wrong stages: {line}");
+    }
+    assert!(
+        digest_1.contains("b tenant=0 ") && digest_1.contains("b tenant=1 "),
+        "both tenants must serve batches:\n{digest_1}"
+    );
 }
 
 /// An injected outage long enough to strand every client past its

@@ -12,13 +12,13 @@
 //! ## Bit-identical-to-naive contract
 //!
 //! Every output element is produced by **exactly the same sequence of
-//! f32 operations** as the reference loop
-//! [`crate::linalg::matmul_block_naive`]: for fixed `(i, j)`, the
+//! f32 operations** as the unblocked `i-k-j` reference loop kept in
+//! [`crate::linalg`]'s tests: for fixed `(i, j)`, the
 //! products `a[i,p] * b[p,j]` are folded in one at a time in ascending
 //! `p` order, starting from the caller's `out[i,j]`, each step a single
 //! fused multiply-add (`f32::mul_add`, one rounding per step — the
-//! workspace's uniform matmul arithmetic policy, see
-//! `matmul_block_naive`). Blocking only changes *when* each element's
+//! workspace's uniform matmul arithmetic policy, documented on that
+//! reference loop). Blocking only changes *when* each element's
 //! partial sums happen (`KC` slabs are visited in ascending `pc`, and
 //! the register tile spills the exact partial value between slabs),
 //! never their order or rounding — so tiled and naive results are
@@ -281,7 +281,7 @@ fn micro_edge(
 /// loop order adapts to the column stride of `b` (axpy when `b` rows
 /// are contiguous, dot-product when `b` columns are), but each output
 /// element always accumulates its products in ascending `p` order —
-/// bit-identical to the packed kernel and to `matmul_block_naive`.
+/// bit-identical to the packed kernel and to the unblocked reference loop.
 fn gemm_naive(a: MatRef, b: MatRef, out: &mut [f32], m: usize, k: usize, n: usize) {
     if b.cs == 1 {
         for i in 0..m {

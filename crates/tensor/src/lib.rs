@@ -47,7 +47,6 @@ mod tensor;
 
 pub use conv::{avg_pool_axis, col2im, conv1d, conv2d, im2col, im2col_into, moving_avg_same};
 pub use error::TensorError;
-pub use linalg::matmul_block_naive;
 pub use shape::{broadcast_shapes, strides_for, Shape};
 pub use tensor::Tensor;
 

@@ -3,9 +3,8 @@
 //!
 //! The matmul kernel is the cache-blocked packed GEMM in [`crate::gemm`]
 //! (MC×KC×NC blocking, MR×NR register tile, thread-local packing
-//! scratch); the historical unblocked loop survives as
-//! [`matmul_block_naive`] and serves as the bitwise reference the tiled
-//! kernel is tested against. Large products split their output rows
+//! scratch); the historical unblocked loop survives in this module's
+//! tests as the bitwise reference the tiled kernel is checked against. Large products split their output rows
 //! (2-D / shared-rhs) or batch entries (fully batched) across the
 //! persistent worker pool via [`crate::par`]; because every row is
 //! computed by the identical serial kernel, parallel results are
@@ -52,55 +51,10 @@ fn matmul_span(b: usize, m: usize, k: usize, n: usize, shared_rhs: bool) -> ts3_
 
 /// Multiply an `m x k` row-major block by a `k x n` block into `out`
 /// (`m x n`, pre-zeroed by the caller). Delegates to the cache-blocked
-/// packed kernel in [`crate::gemm`]; bit-identical to
-/// [`matmul_block_naive`] for every shape (enforced by test sweep).
+/// packed kernel in [`crate::gemm`]; bit-identical to the unblocked
+/// reference loop for every shape (enforced by test sweep).
 pub(crate) fn matmul_block(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     gemm(MatRef::dense(lhs, k), MatRef::dense(rhs, n), out, m, k, n);
-}
-
-/// Unblocked `i-k-j` kernel, kept as the bitwise reference for the
-/// tiled kernel's equivalence tests (and exported for old-vs-new
-/// comparisons in benches).
-///
-/// **Arithmetic policy.** Each accumulation step is a single fused
-/// multiply-add (`f32::mul_add`: one rounding per step instead of
-/// round(mul)-then-round(add)). Every matmul path in the workspace —
-/// this reference, the packed kernel in `crate::gemm`, its strided
-/// naive fallback, and the transposed entry points — uses the same
-/// `mul_add` fold in ascending `p` order per output element, which is
-/// what keeps them all bit-identical to each other (and hence serial ==
-/// parallel for any thread cap). On targets with hardware FMA (the
-/// committed `.cargo/config.toml` builds with `target-cpu=native`) the
-/// fold compiles to one `vfmadd` per step; without hardware FMA,
-/// `mul_add` falls back to a correctly-rounded softfloat routine —
-/// results stay identical, only speed differs.
-///
-/// Note this loop deliberately has **no** `lhs == 0.0` skip branch (an
-/// earlier revision had one): skipping zero multiplicands makes kernel
-/// time data-dependent — sparse-ish activations run measurably faster —
-/// which skews benchmarks, and it changes results in IEEE edge cases
-/// (`0.0 * x` contributes a signed zero or NaN that the skip would
-/// drop, e.g. `out = -0.0` stays `-0.0` when `0.0 * 1.0` is skipped but
-/// becomes `+0.0` when added). Every product is folded in
-/// unconditionally.
-pub fn matmul_block_naive(
-    lhs: &[f32],
-    rhs: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    for i in 0..m {
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for p in 0..k {
-            let a = lhs[i * k + p];
-            let rhs_row = &rhs[p * n..(p + 1) * n];
-            for (o, &r) in out_row.iter_mut().zip(rhs_row) {
-                *o = a.mul_add(r, *o);
-            }
-        }
-    }
 }
 
 /// [`matmul_block`] with the output rows split across threads. Row `i`
@@ -490,6 +444,50 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Unblocked `i-k-j` kernel, kept as the bitwise reference for the
+    /// tiled kernel's equivalence tests.
+    ///
+    /// **Arithmetic policy.** Each accumulation step is a single fused
+    /// multiply-add (`f32::mul_add`: one rounding per step instead of
+    /// round(mul)-then-round(add)). Every matmul path in the workspace —
+    /// this reference, the packed kernel in `crate::gemm`, its strided
+    /// naive fallback, and the transposed entry points — uses the same
+    /// `mul_add` fold in ascending `p` order per output element, which is
+    /// what keeps them all bit-identical to each other (and hence serial ==
+    /// parallel for any thread cap). On targets with hardware FMA (the
+    /// committed `.cargo/config.toml` builds with `target-cpu=native`) the
+    /// fold compiles to one `vfmadd` per step; without hardware FMA,
+    /// `mul_add` falls back to a correctly-rounded softfloat routine —
+    /// results stay identical, only speed differs.
+    ///
+    /// Note this loop deliberately has **no** `lhs == 0.0` skip branch (an
+    /// earlier revision had one): skipping zero multiplicands makes kernel
+    /// time data-dependent — sparse-ish activations run measurably faster —
+    /// which skews benchmarks, and it changes results in IEEE edge cases
+    /// (`0.0 * x` contributes a signed zero or NaN that the skip would
+    /// drop, e.g. `out = -0.0` stays `-0.0` when `0.0 * 1.0` is skipped but
+    /// becomes `+0.0` when added). Every product is folded in
+    /// unconditionally.
+    fn matmul_block_naive(
+        lhs: &[f32],
+        rhs: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        for i in 0..m {
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for p in 0..k {
+                let a = lhs[i * k + p];
+                let rhs_row = &rhs[p * n..(p + 1) * n];
+                for (o, &r) in out_row.iter_mut().zip(rhs_row) {
+                    *o = a.mul_add(r, *o);
+                }
+            }
+        }
+    }
 
     fn t(v: Vec<f32>, s: &[usize]) -> Tensor {
         Tensor::from_vec(v, s)

@@ -15,7 +15,7 @@ cargo test -q --workspace --offline
 
 echo "== 3/11 rustdoc incl. private items (warnings are errors) =="
 # --document-private-items keeps internal doc comments (executor loop,
-# plan lowering, kernel internals) to the same standard as the public
+# compiled plans, kernel internals) to the same standard as the public
 # API: a broken intra-doc link in a private item fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline \
   --document-private-items
@@ -76,15 +76,13 @@ timeout 900 env TS3_THREADS=2 ./target/release/serve_bench --smoke \
   --out-dir target/serve-smoke > /dev/null
 ./target/release/bench_compare results/BENCH_serve_smoke.json \
   target/serve-smoke/BENCH_serve_smoke.json --threshold 100
-# Streaming decomposition: first the correctness contract (every pulse
-# bitwise-equal to batch on the same trailing window — the suite also
-# runs in gate 2, but a bench number without its equivalence proof is
-# meaningless, so the smoke gate re-asserts it explicitly), then the
+# Streaming decomposition: the correctness contract (every pulse
+# bitwise-equal to batch on the same trailing window) is the
+# pulse_equivalence suite, already run by gate 2; here only the
 # per-sample cost. stream_bench itself fails if streamed cost is not
 # >= 5x below recompute-from-scratch on the 96-step window; on top of
 # that, bench_compare pins absolute drift against the committed
 # baseline at the same generous +100%.
-cargo test -q -p ts3-stream --offline --test pulse_equivalence > /dev/null
 timeout 900 env TS3_THREADS=1 ./target/release/stream_bench --smoke \
   --out-dir target/stream-smoke > /dev/null
 ./target/release/bench_compare results/BENCH_stream_smoke.json \
@@ -111,8 +109,9 @@ echo "== 9/11 static analysis (ts3lint --deny-all) =="
 # The in-workspace lint pass (crates/lint): determinism, hermeticity and
 # safety contracts as machine-checked rules. --deny-all promotes
 # warnings (stale allow directives) to failures so the committed tree
-# stays exactly clean, not merely error-free.
-./target/release/ts3lint --deny-all
+# stays exactly clean, not merely error-free. The JSON report is
+# validated by gate 11.
+./target/release/ts3lint --deny-all --json target/lint.json
 
 echo "== 10/11 serving telemetry (timeline + flight + exposition) =="
 # serve_obs drives a stalled request sim (forced deadline-miss burst)
@@ -131,16 +130,11 @@ cmp target/obs-a/serve_obs.prom target/obs-b/serve_obs.prom
 test -s target/obs-a/serve_obs.folded
 echo "ok: timeline/flight validate, exposition byte-stable, folded stacks non-empty"
 
-echo "== 11/11 graph lint + schedule-fuzz race harness =="
-# The graph rule families (crate layering, lock order, unsafe dataflow,
-# env registry, config liveness) re-run in isolation with a JSON report,
-# and trace_check validates the ts3.lint.v2 schema: per-rule timings
-# plus the resolved crate DAG must be present and internally closed.
-./target/release/ts3lint --deny-all \
-  --rule crate-layering --rule lock-order --rule unsafe-dataflow \
-  --rule env-registry --rule config-liveness \
-  --json target/lint-graph.json
-./target/release/trace_check --lint target/lint-graph.json
+echo "== 11/11 lint report schema + schedule-fuzz race harness =="
+# trace_check validates gate 9's JSON report against the ts3.lint.v2
+# schema: per-rule timings (graph rule families included) plus the
+# resolved crate DAG must be present and internally closed.
+./target/release/trace_check --lint target/lint.json
 # Deterministic schedule fuzzing: 16 seeded worker-schedule permutations
 # x thread counts {1,2,4} must produce bitwise-identical matmul / FFT /
 # decomposition / forward-pass outputs. TS3_SCHED_FUZZ=7 additionally
