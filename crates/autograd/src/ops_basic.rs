@@ -154,20 +154,27 @@ impl Var {
     }
 
     /// GELU activation (tanh approximation), differentiated analytically.
+    /// The forward's inner `tanh` is kept for the backward, which needs
+    /// it in both terms of the derivative.
     pub fn gelu(&self) -> Var {
+        let (value, t) = self.value().gelu_with_tanh();
         Var::node(
-            self.value().gelu(),
+            value,
             vec![self.clone()],
-            Box::new(|g, parents| {
+            Box::new(move |g, parents| {
                 const C: f32 = 0.797_884_6; // sqrt(2/pi)
                 const A: f32 = 0.044_715;
-                let dx = parents[0].value().map(|x| {
-                    let u = C * (x + A * x * x * x);
-                    let t = u.tanh();
-                    let du = C * (1.0 + 3.0 * A * x * x);
-                    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-                });
-                vec![Some(g.mul(&dx))]
+                let x = parents[0].value();
+                let dx = x
+                    .as_slice()
+                    .iter()
+                    .zip(t.as_slice())
+                    .map(|(&x, &t)| {
+                        let du = C * (1.0 + 3.0 * A * x * x);
+                        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+                    })
+                    .collect();
+                vec![Some(g.mul(&Tensor::from_vec(dx, x.shape())))]
             }),
         )
     }

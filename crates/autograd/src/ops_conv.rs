@@ -1,11 +1,10 @@
-//! Differentiable 1-D/2-D convolution. The forward uses the `im2col`
-//! kernels from `ts3-tensor`; backward derives the input gradient through
-//! `col2im` (the adjoint of `im2col`) and the weight gradient through a
-//! matmul against the recomputed column matrix.
+//! Differentiable 1-D/2-D convolution. The forward is the `im2col`
+//! kernel [`ts3_tensor::conv2d`]; the backward is one call to
+//! [`ts3_tensor::conv2d_backward`], which forms the input gradient as
+//! `Wᵀ · gy` folded back by the adjoint of `im2col` and the weight
+//! gradient as `gy · colsᵀ` against the recomputed column matrix.
 
 use crate::var::Var;
-use ts3_tensor::conv::{col2im, im2col};
-use ts3_tensor::Tensor;
 
 impl Var {
     /// 2-D convolution (stride 1): input `[B,Ci,H,W]`, weight
@@ -16,28 +15,9 @@ impl Var {
             value,
             vec![self.clone(), weight.clone()],
             Box::new(move |g, parents| {
-                let x = parents[0].value();
-                let w = parents[1].value();
-                let (b, cin, h, wd) =
-                    (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-                let (cout, _, kh, kw) =
-                    (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-                let oh = h + 2 * ph + 1 - kh;
-                let ow = wd + 2 * pw + 1 - kw;
-                let wmat = w.reshape(&[cout, cin * kh * kw]);
-                let mut gx = Tensor::zeros(&[b, cin, h, wd]);
-                let mut gw_mat = Tensor::zeros(&[cout, cin * kh * kw]);
-                for bi in 0..b {
-                    let gy = g.index_axis(0, bi).reshape(&[cout, oh * ow]);
-                    // Input gradient: fold W^T . gy back through col2im.
-                    let gcols = wmat.matmul_ta(&gy);
-                    let gxb = col2im(&gcols, cin, h, wd, kh, kw, ph, pw);
-                    gx.assign_narrow(0, bi, &gxb.reshape(&[1, cin, h, wd]));
-                    // Weight gradient: gy . cols^T (cols recomputed).
-                    let cols = im2col(&x.index_axis(0, bi), kh, kw, ph, pw);
-                    gw_mat.add_assign(&gy.matmul_tb(&cols));
-                }
-                vec![Some(gx), Some(gw_mat.reshape(&[cout, cin, kh, kw]))]
+                let (gx, gw) =
+                    ts3_tensor::conv2d_backward(parents[0].value(), parents[1].value(), g, ph, pw);
+                vec![Some(gx), Some(gw)]
             }),
         )
     }
@@ -57,6 +37,7 @@ impl Var {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ts3_tensor::Tensor;
 
     fn leaf(t: Tensor) -> Var {
         Var::constant(t)

@@ -1,6 +1,6 @@
-//! Micro-benchmarks for the numeric substrate: FFT, CWT, matmul, conv2d,
-//! trend decomposition and spectrum-gradient kernels — the building
-//! blocks whose cost dominates every table run.
+//! Micro-benchmarks for the numeric substrate: FFT, CWT, matmul, conv2d
+//! (forward and backward), trend decomposition and spectrum-gradient
+//! kernels — the building blocks whose cost dominates every table run.
 //!
 //! Run with: `cargo bench -p ts3-bench --features bench-harness`
 //! (off by default so plain `cargo test` never builds these), or via
@@ -19,7 +19,7 @@ use ts3_bench::RunProfile;
 use ts3_signal::decompose::{spectrum_gradient, trend_decompose, DEFAULT_TREND_KERNELS};
 use ts3_signal::fft::{rfft, rfft_half};
 use ts3_signal::{CwtPlan, WaveletKind};
-use ts3_tensor::{conv2d, Tensor};
+use ts3_tensor::{conv2d, conv2d_backward, Tensor};
 
 /// Reduced-subset switch for the `verify.sh` bench gate.
 fn smoke() -> bool {
@@ -82,6 +82,15 @@ fn bench_conv2d(h: &mut Harness) {
         let w = Tensor::randn(&[8, 8, k, k], 4);
         h.bench(&format!("conv2d/{k}"), || {
             conv2d(black_box(&x), black_box(&w), k / 2, k / 2)
+        });
+    }
+    // The backward dominates the train step, so every kernel size runs
+    // in the smoke set too. Same padding keeps the output [8, 8, 8, 96].
+    let g = Tensor::randn(&[8, 8, 8, 96], 11);
+    for k in [1, 3, 5] {
+        let w = Tensor::randn(&[8, 8, k, k], 4);
+        h.bench(&format!("conv2d_backward/{k}"), || {
+            conv2d_backward(black_box(&x), black_box(&w), black_box(&g), k / 2, k / 2)
         });
     }
 }

@@ -1,5 +1,5 @@
-//! Convolution kernels: `im2col`/`col2im` based 2-D convolution, direct
-//! 1-D convolution, and the moving-average pooling used by trend
+//! Convolution kernels: `im2col` based 2-D convolution and its backward
+//! pass, 1-D convolution, and the moving-average pooling used by trend
 //! decomposition.
 //!
 //! Layout conventions (matching the usual DL framework conventions):
@@ -10,15 +10,26 @@
 
 use std::cell::RefCell;
 
+use crate::gemm::{gemm, MatRef};
 use crate::Tensor;
 
-/// Unfold a `[C, H, W]` sample given as a raw slice into the column
-/// matrix layout of [`im2col`], writing into `out` (resized to
+thread_local! {
+    // Per-worker column-matrix scratch shared by `conv2d` and
+    // `conv2d_backward`, reused across samples and calls (the
+    // persistent pool keeps workers alive, so steady-state convolution
+    // does no per-sample allocation in either direction).
+    static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Unfold a `[C, H, W]` sample given as a raw slice into a
+/// `[C*kh*kw, oh*ow]` column matrix for a stride-1 convolution with
+/// padding `(ph, pw)`, writing into `out` (resized to
 /// `c*kh*kw * oh*ow`). Every element of `out` is written — interior
 /// spans are bulk-copied from the input rows, padding spans are zero
 /// filled — so the buffer can be reused across calls without clearing.
-/// This is the allocation-free core behind [`im2col`] and the conv2d
-/// batch loop (which keeps a thread-local scratch buffer per worker).
+/// This is the allocation-free core behind the [`conv2d`] and
+/// [`conv2d_backward`] batch loops (which share a thread-local scratch
+/// buffer per worker).
 #[allow(clippy::too_many_arguments)] // mirrors im2col geometry
 pub fn im2col_into(
     src: &[f32],
@@ -66,62 +77,6 @@ pub fn im2col_into(
             }
         }
     }
-}
-
-/// Unfold `input` (`[C, H, W]`) into a `[C*kh*kw, oh*ow]` column matrix for
-/// a convolution with the given padding and stride 1.
-pub fn im2col(input: &Tensor, kh: usize, kw: usize, ph: usize, pw: usize) -> Tensor {
-    assert_eq!(input.rank(), 3, "im2col expects [C,H,W]");
-    let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let oh = h + 2 * ph + 1 - kh;
-    let ow = w + 2 * pw + 1 - kw;
-    let mut out = Vec::new();
-    im2col_into(input.as_slice(), c, h, w, kh, kw, ph, pw, &mut out);
-    Tensor::from_vec(out, &[c * kh * kw, oh * ow])
-}
-
-/// Fold a `[C*kh*kw, oh*ow]` column matrix back into `[C, H, W]`,
-/// **accumulating** overlapping contributions — the adjoint of [`im2col`].
-#[allow(clippy::too_many_arguments)] // mirrors im2col geometry
-pub fn col2im(
-    cols: &Tensor,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    ph: usize,
-    pw: usize,
-) -> Tensor {
-    let oh = h + 2 * ph + 1 - kh;
-    let ow = w + 2 * pw + 1 - kw;
-    assert_eq!(cols.shape(), &[c * kh * kw, oh * ow], "col2im: column shape mismatch");
-    let src = cols.as_slice();
-    let mut out = vec![0.0f32; c * h * w];
-    let ocols = oh * ow;
-    for ci in 0..c {
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = ((ci * kh + ki) * kw + kj) * ocols;
-                for oi in 0..oh {
-                    let ii = oi + ki;
-                    if ii < ph || ii >= h + ph {
-                        continue;
-                    }
-                    let ii = ii - ph;
-                    for oj in 0..ow {
-                        let jj = oj + kj;
-                        if jj < pw || jj >= w + pw {
-                            continue;
-                        }
-                        let jj = jj - pw;
-                        out[(ci * h + ii) * w + jj] += src[row + oi * ow + oj];
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[c, h, w])
 }
 
 /// 2-D convolution (cross-correlation, as in DL frameworks), stride 1.
@@ -174,12 +129,6 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
     let in_sample = cin * h * w;
     let mut out = vec![0.0f32; b * sample];
     if sample > 0 {
-        thread_local! {
-            // Per-worker column-matrix scratch, reused across samples
-            // and calls (the persistent pool keeps workers alive, so
-            // steady-state conv2d does no per-sample allocation).
-            static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-        }
         let src = input.as_slice();
         crate::par::par_rows_mut(&mut out, sample, 1, |b0, block| {
             COLS.with(|cell| {
@@ -200,6 +149,146 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
         });
     }
     Tensor::from_vec(out, &[b, cout, oh, ow])
+}
+
+/// Accumulate a `[C*kh*kw, oh*ow]` column matrix into the `[C, H, W]`
+/// sample `out` — the adjoint of [`im2col_into`]. Rows and columns are
+/// clipped to the same in-range `lo/hi` spans `im2col_into` copies, so
+/// the inner loop is a branch-free slice add. Each element of `out`
+/// receives its contributions in ascending `(ki, kj)` order.
+#[allow(clippy::too_many_arguments)] // mirrors im2col geometry
+fn col2im_add(
+    cols: &[f32],
+    out: &mut [f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    ph: usize,
+    pw: usize,
+) {
+    let oh = h + 2 * ph + 1 - kh;
+    let ow = w + 2 * pw + 1 - kw;
+    let ocols = oh * ow;
+    for ci in 0..c {
+        for ki in 0..kh {
+            // Output rows whose input row ii = oi + ki - ph is in range.
+            let oi_lo = ph.saturating_sub(ki).min(oh);
+            let oi_hi = (h + ph).saturating_sub(ki).min(oh).max(oi_lo);
+            for kj in 0..kw {
+                let row = ((ci * kh + ki) * kw + kj) * ocols;
+                let lo = pw.saturating_sub(kj).min(ow);
+                let hi = (w + pw).saturating_sub(kj).min(ow).max(lo);
+                if hi == lo {
+                    continue; // every output column reads padding
+                }
+                for oi in oi_lo..oi_hi {
+                    let src = &cols[row + oi * ow + lo..row + oi * ow + hi];
+                    let dst = &mut out[(ci * h + oi + ki - ph) * w + lo + kj - pw..][..hi - lo];
+                    for (d, s) in dst.iter_mut().zip(src) {
+                        *d += s;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Gradients of [`conv2d`] with respect to its input and weight, given
+/// the output gradient `grad` (`[B, C_out, OH, OW]`). Returns
+/// `(gx, gw)`, shaped like `input` and `weight`.
+///
+/// Per sample, the input is unfolded into the forward's column scratch
+/// and the weight partial `gy · colsᵀ` is formed; the same scratch then
+/// receives `Wᵀ · gy`, which is folded into the sample's slice of `gx`.
+/// Both products run the packed GEMM over strided views, so no
+/// transpose is materialised and no per-sample buffer is allocated.
+/// Samples are split across [`crate::par`] like the forward. Each
+/// sample writes its weight partial to its own row, and the partials
+/// are summed serially in sample order, so `gx` and `gw` are
+/// bit-identical at every thread count.
+pub fn conv2d_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad: &Tensor,
+    ph: usize,
+    pw: usize,
+) -> (Tensor, Tensor) {
+    assert_eq!(input.rank(), 4, "conv2d_backward input must be [B,C,H,W]");
+    assert_eq!(weight.rank(), 4, "conv2d_backward weight must be [Co,Ci,KH,KW]");
+    let (b, cin, h, w) = (
+        input.shape()[0],
+        input.shape()[1],
+        input.shape()[2],
+        input.shape()[3],
+    );
+    let (cout, cin2, kh, kw) = (
+        weight.shape()[0],
+        weight.shape()[1],
+        weight.shape()[2],
+        weight.shape()[3],
+    );
+    assert_eq!(cin, cin2, "conv2d_backward: channel mismatch (input {cin} vs weight {cin2})");
+    assert!(
+        h + 2 * ph >= kh && w + 2 * pw >= kw,
+        "conv2d_backward: kernel larger than padded input"
+    );
+    let oh = h + 2 * ph + 1 - kh;
+    let ow = w + 2 * pw + 1 - kw;
+    assert_eq!(grad.shape(), &[b, cout, oh, ow], "conv2d_backward: gradient shape mismatch");
+    let (k, p) = (cin * kh * kw, oh * ow);
+    let mut _span = ts3_obs::span("tensor.conv2d_backward");
+    if _span.active() {
+        // Two products per sample: gy · colsᵀ and Wᵀ · gy.
+        let flops = 4 * b * cout * p * k;
+        _span.field("b", b);
+        _span.field("cin", cin);
+        _span.field("cout", cout);
+        _span.field("kh", kh);
+        _span.field("kw", kw);
+        _span.field("flops", flops);
+        ts3_obs::counter_add("tensor.conv2d_backward.calls", 1);
+        ts3_obs::counter_add("tensor.conv2d_backward.flops", flops as u64);
+    }
+    // One row per sample: its `gx` slice, then its weight partial.
+    let in_sample = cin * h * w;
+    let row = in_sample + cout * k;
+    let mut buf = vec![0.0f32; b * row];
+    let mut gw = vec![0.0f32; cout * k];
+    if row > 0 {
+        let (src, wdata, gdata) = (input.as_slice(), weight.as_slice(), grad.as_slice());
+        crate::par::par_rows_mut(&mut buf, row, 1, |b0, block| {
+            COLS.with(|cell| {
+                let cols = &mut *cell.borrow_mut();
+                for (i, r) in block.chunks_mut(row).enumerate() {
+                    let bi = b0 + i;
+                    let (gxb, gwb) = r.split_at_mut(in_sample);
+                    let x = &src[bi * in_sample..(bi + 1) * in_sample];
+                    let gy = &gdata[bi * cout * p..(bi + 1) * cout * p];
+                    im2col_into(x, cin, h, w, kh, kw, ph, pw, cols);
+                    gemm(MatRef::dense(gy, p), MatRef::dense_t(cols, p), gwb, cout, p, k);
+                    cols.fill(0.0);
+                    gemm(MatRef::dense_t(wdata, k), MatRef::dense(gy, p), cols, k, cout, p);
+                    col2im_add(cols, gxb, cin, h, w, kh, kw, ph, pw);
+                }
+            });
+        });
+        for r in buf.chunks_exact(row) {
+            for (acc, v) in gw.iter_mut().zip(&r[in_sample..]) {
+                *acc += v;
+            }
+        }
+        // Compact the `gx` slices in place (each moves to a lower offset).
+        for bi in 1..b {
+            buf.copy_within(bi * row..bi * row + in_sample, bi * in_sample);
+        }
+        buf.truncate(b * in_sample);
+    }
+    (
+        Tensor::from_vec(buf, &[b, cin, h, w]),
+        Tensor::from_vec(gw, &[cout, cin, kh, kw]),
+    )
 }
 
 /// 1-D convolution (cross-correlation), stride 1.
@@ -289,6 +378,135 @@ pub fn avg_pool_axis(input: &Tensor, axis: usize, k: usize) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Unfold `input` (`[C, H, W]`) into a `[C*kh*kw, oh*ow]` column matrix for
+    /// a convolution with the given padding and stride 1.
+    fn im2col(input: &Tensor, kh: usize, kw: usize, ph: usize, pw: usize) -> Tensor {
+        assert_eq!(input.rank(), 3, "im2col expects [C,H,W]");
+        let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+        let oh = h + 2 * ph + 1 - kh;
+        let ow = w + 2 * pw + 1 - kw;
+        let mut out = Vec::new();
+        im2col_into(input.as_slice(), c, h, w, kh, kw, ph, pw, &mut out);
+        Tensor::from_vec(out, &[c * kh * kw, oh * ow])
+    }
+
+    /// Fold a `[C*kh*kw, oh*ow]` column matrix back into `[C, H, W]`,
+    /// **accumulating** overlapping contributions — the adjoint of `im2col`.
+    #[allow(clippy::too_many_arguments)] // mirrors im2col geometry
+    fn col2im(
+        cols: &Tensor,
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        ph: usize,
+        pw: usize,
+    ) -> Tensor {
+        let oh = h + 2 * ph + 1 - kh;
+        let ow = w + 2 * pw + 1 - kw;
+        assert_eq!(cols.shape(), &[c * kh * kw, oh * ow], "col2im: column shape mismatch");
+        let src = cols.as_slice();
+        let mut out = vec![0.0f32; c * h * w];
+        let ocols = oh * ow;
+        for ci in 0..c {
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    let row = ((ci * kh + ki) * kw + kj) * ocols;
+                    for oi in 0..oh {
+                        let ii = oi + ki;
+                        if ii < ph || ii >= h + ph {
+                            continue;
+                        }
+                        let ii = ii - ph;
+                        for oj in 0..ow {
+                            let jj = oj + kj;
+                            if jj < pw || jj >= w + pw {
+                                continue;
+                            }
+                            let jj = jj - pw;
+                            out[(ci * h + ii) * w + jj] += src[row + oi * ow + oj];
+                        }
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(out, &[c, h, w])
+    }
+
+    /// The backward as `Var::conv2d` computed it before
+    /// [`conv2d_backward`] existed, kept as the bitwise oracle: per
+    /// sample, `Wᵀ · gy` through `matmul_ta` folded by `col2im`, and
+    /// `gy · colsᵀ` through `matmul_tb` against a recomputed `im2col`.
+    fn conv2d_backward_reference(
+        x: &Tensor,
+        w: &Tensor,
+        g: &Tensor,
+        ph: usize,
+        pw: usize,
+    ) -> (Tensor, Tensor) {
+        let (b, cin, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let (cout, _, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
+        let oh = h + 2 * ph + 1 - kh;
+        let ow = wd + 2 * pw + 1 - kw;
+        let wmat = w.reshape(&[cout, cin * kh * kw]);
+        let mut gx = Tensor::zeros(&[b, cin, h, wd]);
+        let mut gw_mat = Tensor::zeros(&[cout, cin * kh * kw]);
+        for bi in 0..b {
+            let gy = g.index_axis(0, bi).reshape(&[cout, oh * ow]);
+            let gcols = wmat.matmul_ta(&gy);
+            let gxb = col2im(&gcols, cin, h, wd, kh, kw, ph, pw);
+            gx.assign_narrow(0, bi, &gxb.reshape(&[1, cin, h, wd]));
+            let cols = im2col(&x.index_axis(0, bi), kh, kw, ph, pw);
+            gw_mat.add_assign(&gy.matmul_tb(&cols));
+        }
+        (gx, gw_mat.reshape(&[cout, cin, kh, kw]))
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn conv2d_backward_bitwise_equals_reference_sweep() {
+        // (b, cin, cout, h, w, kh, kw, ph, pw). The largest geometry
+        // comes first so every later call reuses a longer, stale column
+        // scratch; the sweep covers k in {1,2,3,5}, ph != pw, B = 1,
+        // Ci != Co and kw > w + pw (kernel columns that read only
+        // padding).
+        let cases = [
+            (8, 8, 8, 8, 24, 5, 5, 2, 2),
+            (4, 3, 5, 6, 9, 3, 3, 1, 2),
+            (3, 2, 3, 5, 7, 1, 1, 0, 0),
+            (5, 3, 2, 4, 6, 2, 2, 1, 0),
+            (1, 2, 3, 3, 1, 3, 4, 1, 2),
+            (6, 4, 2, 5, 3, 5, 3, 2, 0),
+            (1, 5, 4, 7, 6, 5, 5, 2, 2),
+            (2, 1, 1, 1, 1, 1, 1, 0, 0),
+        ];
+        let restore = crate::par::max_threads();
+        for threads in [1, 2, 4] {
+            crate::par::set_max_threads(threads);
+            for seed in 0..3u64 {
+                for (ci, &(b, cin, cout, h, w, kh, kw, ph, pw)) in cases.iter().enumerate() {
+                    let s = seed * 100 + ci as u64 * 3;
+                    let x = Tensor::randn(&[b, cin, h, w], s + 1);
+                    let wt = Tensor::randn(&[cout, cin, kh, kw], s + 2);
+                    let (oh, ow) = (h + 2 * ph + 1 - kh, w + 2 * pw + 1 - kw);
+                    let g = Tensor::randn(&[b, cout, oh, ow], s + 3);
+                    let (gx, gw) = conv2d_backward(&x, &wt, &g, ph, pw);
+                    let (rx, rw) = conv2d_backward_reference(&x, &wt, &g, ph, pw);
+                    let at = format!("threads={threads} seed={seed} case={ci}");
+                    assert_eq!(gx.shape(), rx.shape(), "{at}");
+                    assert_eq!(gw.shape(), rw.shape(), "{at}");
+                    assert_eq!(bits(&gx), bits(&rx), "gx {at}");
+                    assert_eq!(bits(&gw), bits(&rw), "gw {at}");
+                }
+            }
+        }
+        crate::par::set_max_threads(restore);
+    }
 
     #[test]
     fn im2col_identity_kernel_size_one() {

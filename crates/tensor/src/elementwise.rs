@@ -78,9 +78,15 @@ impl Tensor {
         self.map(|v| v.max(0.0))
     }
 
-    /// Elementwise GELU (tanh approximation, as used by most DL frameworks).
-    pub fn gelu(&self) -> Tensor {
-        self.map(gelu_scalar)
+    /// Elementwise GELU (tanh approximation, as used by most DL
+    /// frameworks), returned with its inner
+    /// `tanh(√(2/π)·(x + 0.044715·x³))`, which the GELU derivative
+    /// reuses.
+    pub fn gelu_with_tanh(&self) -> (Tensor, Tensor) {
+        const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+        let t = self.map(|v| (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh());
+        let data = self.data.iter().zip(&t.data).map(|(&v, &t)| 0.5 * v * (1.0 + t)).collect();
+        (Tensor { data, shape: self.shape.clone() }, t)
     }
 
     /// Elementwise power with an f32 exponent.
@@ -250,12 +256,6 @@ impl Tensor {
     }
 }
 
-/// GELU activation on a single value (tanh approximation).
-pub(crate) fn gelu_scalar(v: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,7 +286,7 @@ mod tests {
     fn gelu_limits() {
         // gelu(x) -> x for large x, -> 0 for very negative x, = 0 at 0.
         let x = t(vec![-10.0, 0.0, 10.0], &[3]);
-        let g = x.gelu();
+        let (g, _) = x.gelu_with_tanh();
         assert!(g.as_slice()[0].abs() < 1e-3);
         assert_eq!(g.as_slice()[1], 0.0);
         assert!((g.as_slice()[2] - 10.0).abs() < 1e-3);

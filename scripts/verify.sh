@@ -137,7 +137,8 @@ echo "== 11/11 lint report schema + schedule-fuzz race harness =="
 ./target/release/trace_check --lint target/lint.json
 # Deterministic schedule fuzzing: 16 seeded worker-schedule permutations
 # x thread counts {1,2,4} must produce bitwise-identical matmul / FFT /
-# decomposition / forward-pass outputs. TS3_SCHED_FUZZ=7 additionally
+# decomposition / forward-pass outputs and taped-step parameter
+# gradients. TS3_SCHED_FUZZ=7 additionally
 # proves the env knob wiring (the test asserts the knob was picked up).
 TS3_SCHED_FUZZ=7 cargo test -q --offline --test sched_fuzz_sweep
 

@@ -5,7 +5,8 @@
 //! order the mailboxes are woken. This sweep forces the point: for 16
 //! fuzz seeds × thread counts {1, 2, 4} it recomputes a matmul, a
 //! complex FFT, a real-input FFT, a triple decomposition and a TS3Net
-//! forward pass under a freshly permuted schedule per dispatch, and
+//! forward pass plus one taped TS3Net training step (every parameter
+//! gradient) under a freshly permuted schedule per dispatch, and
 //! asserts every result is **bitwise** identical to the unfuzzed
 //! single-thread baseline. A failure here means some kernel secretly
 //! depends on scheduling — a shared accumulator, block-order
@@ -79,6 +80,23 @@ fn evaluate(model: &TS3Net, x: &Tensor) -> Vec<u32> {
     // TS3Net forward pass (eval mode: no dropout, no tape).
     let mut ctx = Ctx::eval();
     push(&mut bits, model.forecast(x, &mut ctx).value().as_slice());
+
+    // One taped training step: MSE against a fixed target, backward,
+    // then every parameter gradient (conv, matmul and FFT adjoints).
+    // Batch 5 splits unevenly at 2 and 4 threads, so a reduction whose
+    // association followed the sample blocks would change bits here.
+    let (lookback, c) = (x.shape()[1], x.shape()[2]);
+    let xb = Tensor::from_vec(series(5 * lookback * c, 19), &[5, lookback, c]);
+    let params = model.parameters();
+    for p in &params {
+        p.zero_grad();
+    }
+    let y = model.forecast(&xb, &mut Ctx::train(7));
+    let target = Tensor::from_vec(series(y.value().numel(), 17), y.shape());
+    y.mse_loss(&target).backward();
+    for p in &params {
+        push(&mut bits, p.grad().as_slice());
+    }
     bits
 }
 
