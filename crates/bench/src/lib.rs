@@ -1,9 +1,12 @@
 //! # ts3-bench
 //!
-//! Experiment harness for the TS3Net reproduction. Each binary in
-//! `src/bin/` regenerates one table or figure from the paper's
-//! evaluation section; the shared pieces live here:
+//! Experiment harness for the TS3Net reproduction. The `ts3` binary
+//! regenerates any table or figure of the paper's evaluation section
+//! (`ts3 <experiment> [--smoke|--quick|--full] [dataset...]`); the pieces
+//! live here:
 //!
+//! * [`experiments`] — the experiment table ([`EXPERIMENTS`]), the
+//!   command-line parser ([`parse_args`]) and the dataset/horizon grids;
 //! * [`profile`] — smoke / quick / full compute profiles;
 //! * [`runner`] — the train/early-stop/evaluate loop (Adam, patience 3,
 //!   MSE/MAE) for forecasting and imputation, with per-epoch `ts3-obs`
@@ -24,10 +27,13 @@ pub mod runner;
 pub mod timing;
 pub mod viz;
 
-pub use experiments::{cell_configs, horizons_for, lookback_for, paper_horizons, run_forecast_cell, spec, sweep_horizons, TABLE4_DATASETS, TABLE5_DATASETS};
+pub use experiments::{
+    cell_configs, horizons_for, lookback_for, paper_horizons, parse_args, run_forecast_cell, spec,
+    sweep_horizons, Experiment, Run, EXPERIMENTS, TABLE4_DATASETS, TABLE5_DATASETS,
+};
 pub use manifest::{write_trace_manifest, TRACE_SCHEMA};
 pub use profile::RunProfile;
-pub use report::{csv_stem, fmt_metric, results_dir, workspace_root, Progress, Table};
+pub use report::{csv_stem, fmt_metric, results_dir, save_result, workspace_root, Progress, Table};
 pub use runner::{
     eval_forecaster, eval_imputer, mean_fill_baseline, persistence_baseline, prepare_task,
     train_forecaster, train_imputer, CellResult,

@@ -1,5 +1,5 @@
 //! Run-manifest writer: when tracing is on (`TS3_TRACE>=1`), every
-//! table/figure binary ends its run by dumping everything `ts3-obs`
+//! `ts3` experiment ends its run by dumping everything `ts3-obs`
 //! recorded — the span tree, per-epoch events, metrics and a per-phase
 //! wall-time summary — to `results/<stem>.trace.json`.
 //!

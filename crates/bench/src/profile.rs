@@ -1,7 +1,7 @@
 //! Run profiles: how much compute each table regeneration spends.
 //!
 //! The paper trains on a V100; this reproduction runs on whatever CPU is
-//! available, so every binary accepts three profiles:
+//! available, so every `ts3` experiment accepts three profiles:
 //!
 //! * `smoke` — seconds; CI-grade sanity (tiny data, one epoch, few steps);
 //! * `quick` — the default; minutes per table, preserves orderings;

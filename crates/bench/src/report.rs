@@ -1,10 +1,10 @@
 //! Result tables: fixed-width console rendering (mirroring the paper's
 //! row/column layout) and CSV + JSON persistence under `results/`, plus
-//! the shared [`Progress`] reporter used by every table/figure binary.
+//! the shared [`Progress`] reporter used by every experiment.
 
 use crate::profile::RunProfile;
 use std::fs;
-use std::io::Write as _;
+use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
 use ts3_json::Json;
@@ -21,10 +21,10 @@ pub struct Table {
 
 impl Table {
     /// Start a table with the given title and column headers.
-    pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
+    pub fn new<S: AsRef<str>>(title: impl Into<String>, columns: &[S]) -> Self {
         Table {
             title: title.into(),
-            columns: columns.iter().map(|s| s.to_string()).collect(),
+            columns: columns.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -85,25 +85,19 @@ impl Table {
 
     /// Write the table as CSV into `results/<stem>.csv` (searching for the
     /// workspace `results/` directory from the current directory upward).
-    pub fn write_csv(&self, stem: &str) -> std::io::Result<PathBuf> {
-        let dir = results_dir();
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{stem}.csv"));
-        let mut f = fs::File::create(&path)?;
-        writeln!(f, "{}", self.columns.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
+    pub fn write_csv(&self, stem: &str) -> io::Result<PathBuf> {
+        let mut csv = String::new();
+        for line in std::iter::once(&self.columns).chain(&self.rows) {
+            csv.push_str(&line.join(","));
+            csv.push('\n');
         }
-        Ok(path)
+        write_result(&format!("{stem}.csv"), &csv)
     }
 
     /// Mirror the table as JSON into `results/<stem>.json`: the title,
     /// the column list, and one object per row keyed by column header.
     /// Cells stay strings, exactly as rendered to console/CSV.
-    pub fn write_json(&self, stem: &str) -> std::io::Result<PathBuf> {
-        let dir = results_dir();
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{stem}.json"));
+    pub fn write_json(&self, stem: &str) -> io::Result<PathBuf> {
         let rows: Json = self
             .rows
             .iter()
@@ -125,9 +119,25 @@ impl Table {
             ),
             ("rows", rows),
         ]);
-        fs::write(&path, doc.to_string_pretty())?;
-        Ok(path)
+        write_result(&format!("{stem}.json"), &doc.to_string_pretty())
     }
+}
+
+/// Write `contents` to `results/<file>`, creating the directory.
+fn write_result(file: &str, contents: &str) -> io::Result<PathBuf> {
+    let dir = results_dir();
+    let path = dir.join(file);
+    fs::create_dir_all(&dir)
+        .and_then(|()| fs::write(&path, contents))
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    Ok(path)
+}
+
+/// Write `contents` to `results/<file>` and report it with a
+/// `wrote <path>` line (the figures' CSVs).
+pub fn save_result(file: &str, contents: &str) -> io::Result<()> {
+    println!("wrote {}", write_result(file, contents)?.display());
+    Ok(())
 }
 
 /// Locate the workspace `results/` directory (falls back to `./results`).
@@ -157,7 +167,7 @@ pub fn workspace_root() -> PathBuf {
     PathBuf::from(".")
 }
 
-/// The progress reporter shared by every table/figure binary: a run
+/// The progress reporter shared by every experiment: a run
 /// banner, elapsed-stamped step lines on stderr, and result persistence
 /// (table render + CSV/JSON + trace manifest) in one call. Each step
 /// also fires a `progress` obs event, so traces carry the same timeline
@@ -208,32 +218,27 @@ impl Progress {
     }
 
     /// Render the finished table, persist CSV + JSON under `results/`,
-    /// and write the trace manifest when tracing is on.
-    pub fn finish_table(&self, table: &Table, base: &str, profile: &RunProfile) {
+    /// and write the trace manifest when tracing is on. Fails on the
+    /// first file that cannot be written.
+    pub fn finish_table(&self, table: &Table, base: &str, profile: &RunProfile) -> io::Result<()> {
         print!("{}", table.render());
         println!();
         let stem = csv_stem(base, profile.name);
-        for res in [table.write_csv(&stem), table.write_json(&stem)] {
-            match res {
-                Ok(p) => println!("wrote {}", p.display()),
-                Err(e) => eprintln!("result write failed: {e}"),
-            }
-        }
-        self.finish_trace(base, profile);
+        println!("wrote {}", table.write_csv(&stem)?.display());
+        println!("wrote {}", table.write_json(&stem)?.display());
+        self.finish_trace(base, profile)
     }
 
-    /// Write just the trace manifest (for the figure binaries, which
-    /// persist their CSVs themselves).
-    pub fn finish_trace(&self, base: &str, profile: &RunProfile) {
+    /// Write just the trace manifest (for the figures, which persist
+    /// their CSVs themselves).
+    pub fn finish_trace(&self, base: &str, profile: &RunProfile) -> io::Result<()> {
         let stem = csv_stem(base, profile.name);
-        match crate::manifest::write_trace_manifest(&stem, profile) {
-            Ok(Some(p)) => println!("wrote {}", p.display()),
-            Ok(None) => {}
-            Err(e) => eprintln!("trace manifest write failed: {e}"),
+        if let Some(p) = crate::manifest::write_trace_manifest(&stem, profile)? {
+            println!("wrote {}", p.display());
         }
+        Ok(())
     }
 }
-
 
 /// CSV stem for a profile: the default `quick` profile owns the canonical
 /// `<base>.csv`; other profiles write `<base>_<profile>.csv` so probe and

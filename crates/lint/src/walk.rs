@@ -95,7 +95,7 @@ mod tests {
     fn classification_covers_the_workspace_shapes() {
         assert_eq!(classify("crates/tensor/src/gemm.rs"), FileKind::Lib);
         assert_eq!(classify("src/lib.rs"), FileKind::Lib);
-        assert_eq!(classify("crates/bench/src/bin/table2.rs"), FileKind::Bin);
+        assert_eq!(classify("crates/bench/src/bin/ts3.rs"), FileKind::Bin);
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Bin);
         assert_eq!(classify("crates/obs/tests/no_alloc.rs"), FileKind::Test);
         assert_eq!(classify("tests/integration_pipeline.rs"), FileKind::Test);

@@ -70,6 +70,6 @@ fn main() {
         );
     }
     println!("\n(the fluctuant share should rise with the wavelet order, which sharpens");
-    println!(" temporal localisation — run `cargo run --release --bin fig5 -p ts3-bench`");
+    println!(" temporal localisation — run `cargo run --release -p ts3-bench --bin ts3 -- fig5`");
     println!(" for the full heat-map rendering of Fig. 5)");
 }
