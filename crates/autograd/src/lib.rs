@@ -6,8 +6,8 @@
 //! parameters with cross-step gradient accumulation ([`Param`]), a small
 //! but complete set of differentiable primitives (elementwise ops, shape
 //! manipulation, reductions, matmul, conv1d/conv2d, softmax, layer norm),
-//! an extension point for fixed linear operators with hand-written
-//! adjoints ([`CustomOp`], used for the wavelet transform), a
+//! a public node constructor for operators with hand-written adjoints
+//! ([`Var::node`], used for the wavelet transform), a
 //! finite-difference gradient checker ([`gradcheck_var`]), and a
 //! thread-local tape-suppression guard for inference ([`NoGradGuard`] /
 //! [`no_grad`]) whose outputs are bitwise identical to the recorded
@@ -27,7 +27,6 @@
 //! assert!(w.value().item() > 0.0);
 //! ```
 
-mod custom;
 mod gradcheck;
 mod nograd;
 mod ops_basic;
@@ -38,8 +37,7 @@ mod ops_shape;
 mod param;
 mod var;
 
-pub use custom::{apply_custom, CustomOp};
 pub use gradcheck::{assert_gradcheck, gradcheck_var, GradCheckReport};
 pub use nograd::{is_recording, no_grad, NoGradGuard};
 pub use param::Param;
-pub use var::Var;
+pub use var::{BackwardFn, Var};

@@ -28,8 +28,9 @@ fn fresh_id() -> u64 {
 }
 
 /// Backward closure: given the output cotangent and the parent values,
-/// produce one optional cotangent per parent (None = no gradient flows).
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &[Var]) -> Vec<Option<Tensor>>>;
+/// produce one optional cotangent per parent (None = no gradient flows),
+/// each shaped like its parent.
+pub type BackwardFn = Box<dyn Fn(&Tensor, &[Var]) -> Vec<Option<Tensor>>>;
 
 pub(crate) enum NodeKind {
     /// Constant input (no gradient tracked beyond the node itself).
@@ -76,13 +77,16 @@ impl Var {
         }))
     }
 
-    /// Build an interior node.
+    /// Build an interior node from its eagerly computed `value`, its
+    /// `parents` and a `backward` rule (the vector-Jacobian product).
+    /// Every built-in op goes through here, and so does any operator
+    /// with a hand-written adjoint, such as the wavelet transforms in
+    /// `ts3net-core`.
     ///
-    /// Every op computes `value` eagerly before calling this, so under a
-    /// [`crate::NoGradGuard`] the node degenerates to a leaf — same
-    /// value, no parents, no backward closure — and the upstream graph
-    /// is released immediately.
-    pub(crate) fn node(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Var {
+    /// Under a [`crate::NoGradGuard`] the node degenerates to a leaf —
+    /// same value, no parents, no backward closure — and the upstream
+    /// graph is released immediately.
+    pub fn node(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Var {
         if !crate::nograd::is_recording() {
             drop(parents);
             drop(backward);
@@ -164,15 +168,17 @@ impl Var {
         let order: Vec<u64> = nodes.keys().rev().copied().collect();
         for id in order {
             let v = &nodes[&id];
-            let grad = match v.0.grad.borrow().clone() {
-                Some(g) => g,
-                None => continue, // no cotangent reached this node
+            // Borrowed, not copied: a node is never its own parent, so
+            // the parents' `borrow_mut` below cannot conflict.
+            let grad = v.0.grad.borrow();
+            let Some(grad) = grad.as_ref() else {
+                continue; // no cotangent reached this node
             };
             match &v.0.kind {
                 NodeKind::Leaf => {}
-                NodeKind::ParamLeaf(param) => param.accumulate_grad(&grad),
+                NodeKind::ParamLeaf(param) => param.accumulate_grad(grad),
                 NodeKind::Node { parents, backward } => {
-                    let parent_grads = backward(&grad, parents);
+                    let parent_grads = backward(grad, parents);
                     assert_eq!(
                         parent_grads.len(),
                         parents.len(),
@@ -240,6 +246,47 @@ mod tests {
         let a = Var::constant(Tensor::zeros(&[1]));
         let b = Var::constant(Tensor::zeros(&[1]));
         assert!(b.id() > a.id());
+    }
+
+    /// y = 3x with its adjoint 3g, built with the public constructor.
+    fn triple(x: &Var) -> Var {
+        let y = x.value().mul_scalar(3.0);
+        Var::node(y, vec![x.clone()], Box::new(|g, _| vec![Some(g.mul_scalar(3.0))]))
+    }
+
+    #[test]
+    fn hand_written_node_forwards_and_backwards() {
+        let x = Var::constant(Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        let y = triple(&x);
+        assert_eq!(y.value().as_slice(), &[3.0, 6.0]);
+        y.sum().backward();
+        assert_eq!(x.grad().unwrap().as_slice(), &[3.0, 3.0]);
+    }
+
+    #[test]
+    fn hand_written_node_with_two_parents() {
+        // y = a + 2b.
+        let a = Var::constant(Tensor::from_vec(vec![1.0], &[1]));
+        let b = Var::constant(Tensor::from_vec(vec![5.0], &[1]));
+        let value = a.value().add(&b.value().mul_scalar(2.0));
+        let y = Var::node(
+            value,
+            vec![a.clone(), b.clone()],
+            Box::new(|g, _| vec![Some(g.clone()), Some(g.mul_scalar(2.0))]),
+        );
+        assert_eq!(y.value().as_slice(), &[11.0]);
+        y.backward();
+        assert_eq!(a.grad().unwrap().as_slice(), &[1.0]);
+        assert_eq!(b.grad().unwrap().as_slice(), &[2.0]);
+    }
+
+    #[test]
+    fn hand_written_node_composes_with_builtin_ops() {
+        let x = Var::constant(Tensor::from_vec(vec![2.0], &[1]));
+        let y = triple(&x).square(); // (3x)^2
+        y.backward();
+        // d/dx 9x^2 = 18x = 36.
+        assert_eq!(x.grad().unwrap().as_slice(), &[36.0]);
     }
 
     #[test]

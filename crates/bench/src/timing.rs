@@ -19,6 +19,7 @@ use std::hint::black_box as hint_black_box;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use ts3_json::Json;
+use ts3_obs::nearest_rank;
 
 /// Re-export of [`std::hint::black_box`] under the name benchmark
 /// bodies conventionally use.
@@ -127,12 +128,6 @@ impl Harness {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample list.
-fn percentile(sorted: &[Duration], q: f64) -> Duration {
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn run_one<R>(f: &mut impl FnMut() -> R) -> Stats {
     // One explicit warm-up iteration before anything is timed: the first
     // call pays one-off lazy costs that must not skew calibration.
@@ -168,9 +163,9 @@ fn run_one<R>(f: &mut impl FnMut() -> R) -> Stats {
     samples.sort();
     Stats {
         min: samples[0],
-        p25: percentile(&samples, 0.25),
-        median: percentile(&samples, 0.50),
-        p75: percentile(&samples, 0.75),
+        p25: nearest_rank(&samples, 0.25),
+        median: nearest_rank(&samples, 0.50),
+        p75: nearest_rank(&samples, 0.75),
         iters: total_iters,
     }
 }
@@ -203,9 +198,9 @@ mod tests {
     #[test]
     fn percentiles_are_ordered() {
         let samples: Vec<Duration> = (1..=9).map(Duration::from_micros).collect();
-        let p25 = percentile(&samples, 0.25);
-        let p50 = percentile(&samples, 0.50);
-        let p75 = percentile(&samples, 0.75);
+        let p25 = nearest_rank(&samples, 0.25);
+        let p50 = nearest_rank(&samples, 0.50);
+        let p75 = nearest_rank(&samples, 0.75);
         assert!(p25 <= p50 && p50 <= p75);
         assert_eq!(p50, Duration::from_micros(5));
     }

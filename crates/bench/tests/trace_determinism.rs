@@ -168,7 +168,7 @@ fn gauge_last_write_wins_under_pool_caps() {
         let labeled = l
             .gauges
             .iter()
-            .find(|((k, _), _)| *k == "test.progress")
+            .find(|((k, l), _)| *k == "test.progress" && !l.is_empty())
             .map(|(_, v)| *v);
         assert_eq!(labeled, Some(14.0), "labeled gauge LWW at cap={cap}");
     }

@@ -1,159 +1,107 @@
 //! Differentiable wavelet operators: the fixed linear CWT amplitude map
-//! and the inverse wavelet transform, wired into autograd through the
-//! [`CustomOp`] extension point with hand-written adjoints.
+//! and the inverse wavelet transform, wired into autograd with
+//! [`Var::node`] and hand-written adjoints.
 
-use std::cell::RefCell;
 use std::rc::Rc;
-use ts3_autograd::{apply_custom, CustomOp, Var};
+use ts3_autograd::Var;
 use ts3_signal::CwtPlan;
 use ts3_tensor::Tensor;
 
 const AMP_EPS: f32 = 1e-8;
 
-/// `Amp(WT(x))` over a `[B, T, D]` input, producing `[B, D, lambda, T]`
+/// Differentiable `Amp(WT(x))`: `[B, T, D] -> [B, D, lambda, T]`
 /// (channel-major layout ready for 2-D convolution).
 ///
-/// Forward caches the complex coefficients so the backward pass reuses
-/// them: with `a = sqrt(re^2 + im^2 + eps)`, the VJP is
+/// The backward closure keeps the complex coefficients of the forward:
+/// with `a = sqrt(re^2 + im^2 + eps)`, the VJP is
 /// `adjoint(g * re / a, g * im / a)` per (batch, channel) lane.
-struct CwtAmpOp {
-    plan: Rc<CwtPlan>,
-    cache: RefCell<Option<(Vec<f32>, Vec<f32>)>>, // flattened re/im, [B*D][lambda*T]
-}
-
-impl CustomOp for CwtAmpOp {
-    fn name(&self) -> &str {
-        "cwt_amp"
-    }
-
-    fn forward(&self, inputs: &[&Tensor]) -> Tensor {
-        let x = inputs[0];
-        assert_eq!(x.rank(), 3, "cwt_amp expects [B, T, D]");
-        let (b, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        assert_eq!(t, self.plan.t_len, "cwt_amp: plan built for T={}, got {t}", self.plan.t_len);
-        let lambda = self.plan.lambda;
-        let lanes = b * d;
-        let lane_len = lambda * t;
-        let mut re_all = vec![0.0f32; lanes * lane_len];
-        let mut im_all = vec![0.0f32; lanes * lane_len];
-        let mut out = vec![0.0f32; b * d * lambda * t];
-        let xs = x.as_slice();
-        for bi in 0..b {
-            for di in 0..d {
-                let lane = bi * d + di;
-                let col: Vec<f32> = (0..t).map(|ti| xs[(bi * t + ti) * d + di]).collect();
-                let (re, im) = self.plan.forward_complex(&col);
-                let base = lane * lane_len;
-                re_all[base..base + lane_len].copy_from_slice(&re);
-                im_all[base..base + lane_len].copy_from_slice(&im);
-                let out_base = (bi * d + di) * lane_len;
-                for j in 0..lane_len {
-                    out[out_base + j] = (re[j] * re[j] + im[j] * im[j] + AMP_EPS).sqrt();
-                }
+pub fn cwt_amplitude(x: &Var, plan: &Rc<CwtPlan>) -> Var {
+    let xv = x.value();
+    assert_eq!(xv.rank(), 3, "cwt_amp expects [B, T, D]");
+    let (b, t, d) = (xv.shape()[0], xv.shape()[1], xv.shape()[2]);
+    assert_eq!(t, plan.t_len, "cwt_amp: plan built for T={}, got {t}", plan.t_len);
+    let lambda = plan.lambda;
+    let lane_len = lambda * t;
+    // Flattened re/im and amplitudes, lane `bi * D + di` at `lane * lane_len`.
+    let mut re_all = vec![0.0f32; b * d * lane_len];
+    let mut im_all = vec![0.0f32; b * d * lane_len];
+    let mut out = vec![0.0f32; b * d * lane_len];
+    let xs = xv.as_slice();
+    for bi in 0..b {
+        for di in 0..d {
+            let col: Vec<f32> = (0..t).map(|ti| xs[(bi * t + ti) * d + di]).collect();
+            let (re, im) = plan.forward_complex(&col);
+            let base = (bi * d + di) * lane_len;
+            re_all[base..base + lane_len].copy_from_slice(&re);
+            im_all[base..base + lane_len].copy_from_slice(&im);
+            for j in 0..lane_len {
+                out[base + j] = (re[j] * re[j] + im[j] * im[j] + AMP_EPS).sqrt();
             }
         }
-        *self.cache.borrow_mut() = Some((re_all, im_all));
-        Tensor::from_vec(out, &[b, d, lambda, t])
     }
-
-    fn backward(&self, grad: &Tensor, inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-        let x = inputs[0];
-        let (b, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        let lambda = self.plan.lambda;
-        let lane_len = lambda * t;
-        let cache = self.cache.borrow();
-        let (re_all, im_all) = cache
-            .as_ref()
-            // ts3-lint: allow(no-unwrap-in-lib) autograd runs backward only after forward, which populates this cache
-            .expect("cwt_amp backward called before forward");
+    let plan = plan.clone();
+    let backward = move |grad: &Tensor, _: &[Var]| {
         let gs = grad.as_slice();
         let mut gx = vec![0.0f32; b * t * d];
         for bi in 0..b {
             for di in 0..d {
-                let lane = bi * d + di;
-                let base = lane * lane_len;
-                let gbase = (bi * d + di) * lane_len;
+                let base = (bi * d + di) * lane_len;
                 let mut g_re = vec![0.0f32; lane_len];
                 let mut g_im = vec![0.0f32; lane_len];
                 for j in 0..lane_len {
                     let re = re_all[base + j];
                     let im = im_all[base + j];
                     let a = (re * re + im * im + AMP_EPS).sqrt();
-                    let g = gs[gbase + j];
+                    let g = gs[base + j];
                     g_re[j] = g * re / a;
                     g_im[j] = g * im / a;
                 }
-                let lane_grad = self.plan.adjoint(&g_re, &g_im);
+                let lane_grad = plan.adjoint(&g_re, &g_im);
                 for (ti, &v) in lane_grad.iter().enumerate() {
                     gx[(bi * t + ti) * d + di] += v;
                 }
             }
         }
         vec![Some(Tensor::from_vec(gx, &[b, t, d]))]
-    }
+    };
+    Var::node(Tensor::from_vec(out, &[b, d, lambda, t]), vec![x.clone()], Box::new(backward))
 }
 
-/// Differentiable `Amp(WT(x))`: `[B, T, D] -> [B, D, lambda, T]`.
-pub fn cwt_amplitude(x: &Var, plan: &Rc<CwtPlan>) -> Var {
-    apply_custom(
-        Rc::new(CwtAmpOp { plan: plan.clone(), cache: RefCell::new(None) }),
-        &[x],
-    )
-}
-
-/// Linear inverse wavelet transform `IWT` (Eq. 9) over `[B, D, lambda, T]`
-/// coefficients, producing `[B, T, D]`.
-struct IwtOp {
-    plan: Rc<CwtPlan>,
-}
-
-impl CustomOp for IwtOp {
-    fn name(&self) -> &str {
-        "iwt"
-    }
-
-    fn forward(&self, inputs: &[&Tensor]) -> Tensor {
-        let w = inputs[0];
-        assert_eq!(w.rank(), 4, "iwt expects [B, D, lambda, T]");
-        let (b, d, lambda, t) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-        assert_eq!(lambda, self.plan.lambda, "iwt: lambda mismatch");
-        assert_eq!(t, self.plan.t_len, "iwt: T mismatch");
-        let ws = w.as_slice();
-        let lane_len = lambda * t;
-        let mut out = vec![0.0f32; b * t * d];
-        for bi in 0..b {
-            for di in 0..d {
-                let base = (bi * d + di) * lane_len;
-                let x = self.plan.inverse(&ws[base..base + lane_len]);
-                for (ti, &v) in x.iter().enumerate() {
-                    out[(bi * t + ti) * d + di] = v;
-                }
+/// Differentiable linear inverse wavelet transform `IWT` (Eq. 9):
+/// `[B, D, lambda, T]` coefficients to `[B, T, D]`.
+pub fn iwt(w: &Var, plan: &Rc<CwtPlan>) -> Var {
+    let wv = w.value();
+    assert_eq!(wv.rank(), 4, "iwt expects [B, D, lambda, T]");
+    let (b, d, lambda, t) = (wv.shape()[0], wv.shape()[1], wv.shape()[2], wv.shape()[3]);
+    assert_eq!(lambda, plan.lambda, "iwt: lambda mismatch");
+    assert_eq!(t, plan.t_len, "iwt: T mismatch");
+    let ws = wv.as_slice();
+    let lane_len = lambda * t;
+    let mut out = vec![0.0f32; b * t * d];
+    for bi in 0..b {
+        for di in 0..d {
+            let base = (bi * d + di) * lane_len;
+            let x = plan.inverse(&ws[base..base + lane_len]);
+            for (ti, &v) in x.iter().enumerate() {
+                out[(bi * t + ti) * d + di] = v;
             }
         }
-        Tensor::from_vec(out, &[b, t, d])
     }
-
-    fn backward(&self, grad: &Tensor, inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-        let w = inputs[0];
-        let (b, d, lambda, t) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
+    let plan = plan.clone();
+    let backward = move |grad: &Tensor, _: &[Var]| {
         let gs = grad.as_slice();
-        let lane_len = lambda * t;
         let mut gw = vec![0.0f32; b * d * lane_len];
         for bi in 0..b {
             for di in 0..d {
                 let lane: Vec<f32> = (0..t).map(|ti| gs[(bi * t + ti) * d + di]).collect();
-                let back = self.plan.inverse_adjoint(&lane);
+                let back = plan.inverse_adjoint(&lane);
                 let base = (bi * d + di) * lane_len;
                 gw[base..base + lane_len].copy_from_slice(&back);
             }
         }
         vec![Some(Tensor::from_vec(gw, &[b, d, lambda, t]))]
-    }
-}
-
-/// Differentiable `IWT`: `[B, D, lambda, T] -> [B, T, D]`.
-pub fn iwt(w: &Var, plan: &Rc<CwtPlan>) -> Var {
-    apply_custom(Rc::new(IwtOp { plan: plan.clone() }), &[w])
+    };
+    Var::node(Tensor::from_vec(out, &[b, t, d]), vec![w.clone()], Box::new(backward))
 }
 
 #[cfg(test)]

@@ -1,25 +1,23 @@
-//! Prometheus-style text exposition of the metrics registries.
+//! Prometheus-style text exposition of the metrics registry.
 //!
-//! [`render`] merges the plain ([`crate::metrics`]) and labeled
-//! ([`crate::labels`]) registries into one text document in the
-//! Prometheus exposition format — `# TYPE` headers, `name{labels}
-//! value` samples, cumulative `_bucket{le="..."}` histogram lines —
-//! so any standard scraper/grapher can ingest a ts3 dump without a
-//! converter.
+//! [`render`] walks one registry snapshot ([`crate::labels`]) and
+//! writes it in the Prometheus exposition format — `# TYPE` headers,
+//! `name{labels} value` samples, cumulative `_bucket{le="..."}`
+//! histogram lines — so any standard scraper/grapher can ingest a ts3
+//! dump without a converter.
 //!
 //! Ordering is **deterministic by construction**: families sort by
 //! sanitized name, series within a family by their canonical label
-//! set (already sorted by key), buckets by ladder position. Two runs
-//! that record the same values render byte-identical text — that is a
-//! verify.sh gate, so treat any ordering change here as
-//! schema-breaking.
+//! set (already sorted by key, the zero-label series first), buckets by
+//! ladder position. Two runs that record the same values render
+//! byte-identical text — that is a verify.sh gate, so treat any
+//! ordering change here as schema-breaking.
 //!
 //! Metric names arrive dot-separated (`serve.queue_depth`) and leave
 //! underscore-separated (`serve_queue_depth`) per the exposition
 //! grammar; label values are escaped (`\`, `"`, newline).
 
-use crate::labels::{labeled_snapshot, HistStats, LabelSet};
-use crate::metrics::{metrics_snapshot, HIST_BOUNDS};
+use crate::labels::{labeled_snapshot, LabelSet, HIST_BOUNDS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -84,67 +82,50 @@ fn write_hist(
     let _ = writeln!(out, "{name}_count{} {count}", label_block(labels, None));
 }
 
-/// Render both registries as one Prometheus exposition document.
+type Family<'a, V> = Vec<(&'a LabelSet, &'a V)>;
+
+/// Group one family's series by sanitized name, keeping snapshot order
+/// (label sets ascending, the zero-label series first) within a name.
+fn families<'a, V>(
+    series: &'a [((&'static str, LabelSet), V)],
+) -> BTreeMap<String, Family<'a, V>> {
+    let mut out: BTreeMap<String, Family<'a, V>> = BTreeMap::new();
+    for ((name, labels), v) in series {
+        out.entry(sanitize(name)).or_default().push((labels, v));
+    }
+    out
+}
+
+/// Render the registry as one Prometheus exposition document.
 ///
-/// Families appear sorted by sanitized name; a plain (unlabeled)
-/// series and labeled series of the same name share one family, the
-/// unlabeled sample first. Labeled histograms additionally emit
+/// Families appear sorted by sanitized name; the zero-label series of
+/// a name and its labeled series share one family, the zero-label
+/// sample first. Labeled histograms additionally emit
 /// `{quantile="0.5|0.9|0.99"}` summary lines from their exact (or
-/// bucket-bound, see [`HistStats::exact`]) percentiles.
+/// bucket-bound, see [`crate::HistStats::exact`]) percentiles;
+/// zero-label histograms emit none.
 pub fn render() -> String {
-    let plain = metrics_snapshot();
-    let labeled = labeled_snapshot();
-
-    // name -> (unlabeled value, labeled series) per family kind.
-    let mut counters: BTreeMap<String, (Option<u64>, Vec<(LabelSet, u64)>)> = BTreeMap::new();
-    for (name, v) in &plain.counters {
-        counters.entry(sanitize(name)).or_default().0 = Some(*v);
-    }
-    for ((name, labels), v) in &labeled.counters {
-        counters.entry(sanitize(name)).or_default().1.push((labels.clone(), *v));
-    }
-    let mut gauges: BTreeMap<String, (Option<f64>, Vec<(LabelSet, f64)>)> = BTreeMap::new();
-    for (name, v) in &plain.gauges {
-        gauges.entry(sanitize(name)).or_default().0 = Some(*v);
-    }
-    for ((name, labels), v) in &labeled.gauges {
-        gauges.entry(sanitize(name)).or_default().1.push((labels.clone(), *v));
-    }
-    type HistFamily = (Option<crate::metrics::HistSnapshot>, Vec<(LabelSet, HistStats)>);
-    let mut hists: BTreeMap<String, HistFamily> = BTreeMap::new();
-    for (name, h) in &plain.hists {
-        hists.entry(sanitize(name)).or_default().0 = Some(h.clone());
-    }
-    for ((name, labels), h) in &labeled.hists {
-        hists.entry(sanitize(name)).or_default().1.push((labels.clone(), h.clone()));
-    }
-
+    let snap = labeled_snapshot();
     let mut out = String::new();
-    for (name, (plain_v, series)) in &counters {
+    for (name, series) in &families(&snap.counters) {
         let _ = writeln!(out, "# TYPE {name} counter");
-        if let Some(v) = plain_v {
-            let _ = writeln!(out, "{name} {v}");
-        }
         for (labels, v) in series {
             let _ = writeln!(out, "{name}{} {v}", label_block(labels, None));
         }
     }
-    for (name, (plain_v, series)) in &gauges {
+    for (name, series) in &families(&snap.gauges) {
         let _ = writeln!(out, "# TYPE {name} gauge");
-        if let Some(v) = plain_v {
-            let _ = writeln!(out, "{name} {}", num(*v));
-        }
         for (labels, v) in series {
-            let _ = writeln!(out, "{name}{} {}", label_block(labels, None), num(*v));
+            let _ = writeln!(out, "{name}{} {}", label_block(labels, None), num(**v));
         }
     }
-    for (name, (plain_h, series)) in &hists {
+    for (name, series) in &families(&snap.hists) {
         let _ = writeln!(out, "# TYPE {name} histogram");
-        if let Some(h) = plain_h {
-            write_hist(&mut out, name, &Vec::new(), &h.buckets, h.count, h.sum);
-        }
         for (labels, h) in series {
             write_hist(&mut out, name, labels, &h.buckets, h.count, h.sum);
+            if labels.is_empty() {
+                continue;
+            }
             for (q, v) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
                 let _ = writeln!(
                     out,
@@ -155,9 +136,9 @@ pub fn render() -> String {
             }
         }
     }
-    if labeled.dropped_series > 0 {
+    if snap.dropped_series > 0 {
         let _ = writeln!(out, "# TYPE ts3_obs_dropped_series counter");
-        let _ = writeln!(out, "ts3_obs_dropped_series {}", labeled.dropped_series);
+        let _ = writeln!(out, "ts3_obs_dropped_series {}", snap.dropped_series);
     }
     out
 }
@@ -190,6 +171,7 @@ mod tests {
         assert!(t0 < t1, "series sorted by label set");
         assert!(a.contains("serve_queue_depth 2\n"));
         assert!(a.contains("serve_coalesce_hold_bucket{le=\"+Inf\"} 1\n"));
+        assert!(!a.contains("serve_coalesce_hold{quantile="), "zero-label: no quantile lines");
         assert!(a.contains("serve_latency_ticks_bucket{tenant=\"0\",le=\"2\"} 1\n"));
         // Nearest-rank over [2, 4]: round(0.5) rounds up, so p50 = 4.
         assert!(a.contains("serve_latency_ticks{tenant=\"0\",quantile=\"0.5\"} 4\n"));

@@ -2,7 +2,7 @@
 //! registry as `Json` documents (the schema documented in README
 //! §Observability) and honour `TS3_METRICS_OUT`.
 
-use crate::metrics::{MetricsSnapshot, HIST_BOUNDS};
+use crate::labels::{MetricsSnapshot, HIST_BOUNDS};
 use crate::trace::{EventRec, FieldValue, SpanRec};
 use ts3_json::Json;
 
@@ -79,7 +79,7 @@ pub fn trace_to_json(spans: &[SpanRec], events: &[EventRec]) -> Json {
     Json::obj([("spans", Json::Arr(roots)), ("orphan_events", Json::Arr(orphans))])
 }
 
-/// Serialise a metrics snapshot: counters and gauges as flat objects,
+/// Serialise the zero-label series: counters and gauges as flat objects,
 /// histograms with count/sum and only their non-empty buckets (keyed by
 /// upper bound) so the dump stays readable.
 pub fn metrics_to_json(snap: &MetricsSnapshot) -> Json {
@@ -121,7 +121,7 @@ pub fn metrics_to_json(snap: &MetricsSnapshot) -> Json {
 }
 
 /// One-call dump of everything the process has recorded: the span tree,
-/// the metrics registry and the dropped-record count.
+/// the registry's zero-label series and the dropped-record count.
 pub fn dump_json() -> Json {
     let (spans, events, dropped) = crate::trace::snapshot_records();
     Json::obj([
@@ -170,7 +170,7 @@ pub fn folded_stacks(spans: &[SpanRec]) -> String {
     out
 }
 
-/// If `TS3_METRICS_OUT` is set, write the current metrics registry
+/// If `TS3_METRICS_OUT` is set, write the registry's zero-label series
 /// there as pretty JSON. Returns the path written.
 pub fn write_metrics_out() -> std::io::Result<Option<String>> {
     let Some(path) = crate::gate::metrics_out() else { return Ok(None) };

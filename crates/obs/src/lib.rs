@@ -1,8 +1,8 @@
 //! # ts3-obs
 //!
 //! The workspace's observability substrate: structured tracing (nestable
-//! spans + key/value events collected in memory) and a metrics registry
-//! (counters, gauges, fixed-bucket histograms), with sinks for
+//! spans + key/value events collected in memory) and one metrics
+//! registry (counters, gauges, fixed-bucket histograms), with sinks for
 //! human-readable stderr and [`ts3_json`] export. It fills the role the
 //! `tracing` + `metrics` crates would play in a non-hermetic build, with
 //! zero external dependencies.
@@ -10,10 +10,12 @@
 //! Since the v2 telemetry pass the crate also carries the production
 //! serving pipeline — each layer answering a different question:
 //!
-//! * [`labels`] — *which tenant is slow?* Fixed-cardinality dimensional
-//!   metrics ([`counter_add_l`] etc.) with exact p50/p90/p99 labeled
-//!   histograms; the plain static-name API stays as the zero-label fast
-//!   path.
+//! * [`labels`] — *which tenant is slow?* The metrics registry: every
+//!   series is keyed by `(name, label set)`. [`counter_add_l`] etc. write
+//!   fixed-cardinality dimensional series; the static-name
+//!   [`counter_add`]/[`gauge_set`]/[`observe`] write the zero-label
+//!   series. Histograms report exact p50/p90/p99 by [`nearest_rank`],
+//!   the workspace's one percentile rule.
 //! * [`timeline`] — *where did this request's latency go?* A
 //!   [`RequestCtx`] minted at enqueue, tracked through
 //!   queue-wait → coalesce-hold → per-stage execute → respond, exported
@@ -21,7 +23,7 @@
 //! * [`flight`] — *what happened right before it broke?* A bounded
 //!   event ring + rolling deadline-miss SLO window, dumping a
 //!   `ts3.flight.v1` postmortem on threshold crossing or panic.
-//! * [`expo`] — Prometheus-style text exposition of both registries,
+//! * [`expo`] — Prometheus-style text exposition of the registry,
 //!   byte-deterministic ordering; [`folded_stacks`] renders span
 //!   self-time for flamegraph tooling.
 //!
@@ -40,7 +42,7 @@
 //!   every completed span and event on stderr.
 //!
 //! `TS3_METRICS_OUT=<path>` additionally asks the process to dump the
-//! metrics registry as JSON to `<path>` (honoured by
+//! registry's zero-label series as JSON to `<path>` (honoured by
 //! `ts3_bench::manifest` and by [`export::write_metrics_out`]).
 //! `TS3_TRACE_MAX_SPANS=<n>` lowers the stored-span cap (default
 //! [`trace::MAX_SPANS`]) so long runs — benchmark loops in particular —
@@ -85,19 +87,14 @@ pub mod export;
 pub mod flight;
 pub mod gate;
 pub mod labels;
-pub mod metrics;
 pub mod timeline;
 pub mod trace;
 
 pub use export::{dump_json, folded_stacks, metrics_to_json, trace_to_json};
 pub use gate::{enabled, explicitly_silent, level, metrics_out, set_level, verbose};
 pub use labels::{
-    counter_add_l, gauge_set_l, labeled_snapshot, observe_l, reset_labeled, HistStats,
-    LabeledSnapshot,
-};
-pub use metrics::{
-    counter_add, gauge_set, metrics_snapshot, observe, reset_metrics, HistSnapshot,
-    MetricsSnapshot,
+    counter_add, counter_add_l, gauge_set, gauge_set_l, labeled_snapshot, metrics_snapshot,
+    nearest_rank, observe, observe_l, reset_metrics, HistStats, LabeledSnapshot, MetricsSnapshot,
 };
 pub use timeline::{
     begin_batch, begin_request, deterministic_digest, mark_flushed, mark_respond, mark_seen,
@@ -115,6 +112,5 @@ pub use trace::{
 pub fn reset() {
     reset_trace();
     reset_metrics();
-    reset_labeled();
     reset_timeline();
 }

@@ -307,15 +307,6 @@ fn tick_json(t: u64) -> Json {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice (0 for empty).
-fn rank_u64(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Render the timeline as a `ts3.timeline.v1` document: raw request
 /// records with their tick segments (`queue_wait` = seen − submitted,
 /// `hold` = flushed − seen, `respond` = responded − flushed), batch
@@ -399,9 +390,9 @@ pub fn timeline_to_json() -> Json {
                 ("tenant", Json::Num(*tenant as f64)),
                 ("responded", Json::Num(sorted.len() as f64)),
                 ("deadline_missed", Json::Num(misses.get(tenant).copied().unwrap_or(0) as f64)),
-                ("p50_ticks", Json::Num(rank_u64(&sorted, 0.50) as f64)),
-                ("p90_ticks", Json::Num(rank_u64(&sorted, 0.90) as f64)),
-                ("p99_ticks", Json::Num(rank_u64(&sorted, 0.99) as f64)),
+                ("p50_ticks", Json::Num(crate::nearest_rank(&sorted, 0.50) as f64)),
+                ("p90_ticks", Json::Num(crate::nearest_rank(&sorted, 0.90) as f64)),
+                ("p99_ticks", Json::Num(crate::nearest_rank(&sorted, 0.99) as f64)),
             ])
         })
         .collect();

@@ -1,7 +1,9 @@
 //! The disabled-path cost contract: with `TS3_TRACE=0`, opening and
 //! dropping spans, recording fields, emitting events and bumping
-//! counters must not allocate at all. A counting global allocator
-//! makes the claim checkable instead of aspirational.
+//! counters must not allocate at all. With tracing on, bumping an
+//! existing static-name counter or gauge allocates nothing either. A
+//! counting global allocator makes the claims checkable instead of
+//! aspirational.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,4 +100,23 @@ fn no_alloc_when_disabled() {
     let (reqs, batches, tl_dropped) = ts3_obs::timeline_snapshot();
     assert!(reqs.is_empty() && batches.is_empty() && tl_dropped == 0);
     assert!(ts3_obs::flight::to_json().is_none());
+
+    // Enabled: a static-name write is the zero-label series, whose empty
+    // label set is built without a heap allocation. Checked here, not in
+    // a second test, because the counting allocator is process-wide.
+    ts3_obs::set_level(1);
+    ts3_obs::counter_add("hot.calls", 1);
+    ts3_obs::gauge_set("hot.norm", 0.0);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for i in 0..10_000u64 {
+        ts3_obs::counter_add("hot.calls", i);
+        ts3_obs::gauge_set("hot.norm", i as f64);
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+    ts3_obs::set_level(0);
+    assert_eq!(after - before, 0, "existing zero-label series must not allocate");
+    let m = ts3_obs::metrics_snapshot();
+    assert_eq!(m.counters, vec![("hot.calls", 1 + 9_999 * 10_000 / 2)]);
+    assert_eq!(m.gauges, vec![("hot.norm", 9_999.0)]);
+    ts3_obs::reset();
 }

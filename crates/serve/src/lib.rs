@@ -94,8 +94,8 @@ pub use clock::{Clock, VirtualClock};
 pub use coalescer::{Coalescer, CoalescerConfig, Pending};
 pub use online::{run_online_sim, OnlineConfig, OnlineReport};
 pub use report::{
-    percentile_ns, summarize, write_bench_json, write_exposition, write_flight_json,
-    write_folded, write_timeline_json, BenchRow, LatencySummary,
+    summarize, write_bench_json, write_exposition, write_flight_json, write_folded,
+    write_timeline_json, BenchRow, LatencySummary,
 };
 pub use server::{
     ForecastRequest, ForecastResponse, ServeError, ServerConfig, ServerHandle, ServerStats,

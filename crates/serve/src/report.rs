@@ -5,30 +5,15 @@
 //! The serving benchmark reports through the same JSON schema as the
 //! kernel/model benchmarks (`crates/bench`), so `bench_compare` can gate
 //! serving-latency regressions with zero new tooling. Percentiles use
-//! the same nearest-rank rule as `crates/bench::timing`. The telemetry
-//! writers are thin filesystem shims over `ts3-obs` — the `serve_obs`
-//! binary calls them after a traced run; they live here (binary-adjacent
-//! code) so library modules stay free of file I/O.
+//! the workspace's one nearest-rank rule, [`ts3_obs::nearest_rank`].
+//! The telemetry writers are thin filesystem shims over `ts3-obs` — the
+//! `serve_obs` binary calls them after a traced run; they live here
+//! (binary-adjacent code) so library modules stay free of file I/O.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use ts3_json::Json;
-
-/// Nearest-rank percentile of an **ascending-sorted** sample list.
-/// Returns 0 for an empty list.
-///
-/// ```
-/// let samples = [10u64, 20, 30, 40, 50];
-/// assert_eq!(ts3_serve::percentile_ns(&samples, 0.5), 30);
-/// assert_eq!(ts3_serve::percentile_ns(&samples, 0.99), 50);
-/// ```
-pub fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
+use ts3_obs::nearest_rank;
 
 /// Order statistics of a latency sample set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,10 +37,10 @@ pub fn summarize(samples: &[u64]) -> LatencySummary {
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
     LatencySummary {
-        p50_ns: percentile_ns(&sorted, 0.50),
-        p25_ns: percentile_ns(&sorted, 0.25),
-        p75_ns: percentile_ns(&sorted, 0.75),
-        p99_ns: percentile_ns(&sorted, 0.99),
+        p50_ns: nearest_rank(&sorted, 0.50),
+        p25_ns: nearest_rank(&sorted, 0.25),
+        p75_ns: nearest_rank(&sorted, 0.75),
+        p99_ns: nearest_rank(&sorted, 0.99),
         min_ns: sorted.first().copied().unwrap_or(0),
         n: sorted.len(),
     }
@@ -173,15 +158,6 @@ pub fn write_bench_json(path: &Path, rows: &[BenchRow]) -> io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_nearest_rank_matches_bench_convention() {
-        let s = [1u64, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        assert_eq!(percentile_ns(&s, 0.0), 1);
-        assert_eq!(percentile_ns(&s, 0.5), 6); // round(9 * 0.5) = 5 -> s[5]
-        assert_eq!(percentile_ns(&s, 0.99), 10);
-        assert_eq!(percentile_ns(&[], 0.5), 0);
-    }
 
     #[test]
     fn summarize_orders_the_samples() {

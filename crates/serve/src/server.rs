@@ -60,6 +60,11 @@ pub enum ServeError {
         /// The submitted shape.
         got: Vec<usize>,
     },
+    /// The input window holds a NaN or an infinity. It is rejected at
+    /// accept, so it never shares a batch: TS3Net's period selection
+    /// averages the spectrum over the batch, and one non-finite lane
+    /// would change every co-batched forecast.
+    NonFinite,
     /// Plan execution failed (carries the `PlanError` rendering).
     Plan(String),
     /// The server thread is gone (already shut down or panicked).
@@ -77,6 +82,7 @@ impl fmt::Display for ServeError {
                 "expected a [{}, {}] window, got {:?}",
                 expected[0], expected[1], got
             ),
+            ServeError::NonFinite => write!(f, "input window is not finite"),
             ServeError::Plan(msg) => write!(f, "plan execution failed: {msg}"),
             ServeError::Closed => write!(f, "server is shut down"),
         }
@@ -319,6 +325,11 @@ impl Executor {
             let geom = self.plans[req.tenant].geometry();
             if req.input.shape() != geom {
                 Some(ServeError::BadShape { expected: geom, got: req.input.shape().to_vec() })
+            } else if !req.input.all_finite() {
+                with_tenant_label(req.tenant, |labels| {
+                    ts3_obs::counter_add_l("serve.non_finite", labels, 1);
+                });
+                Some(ServeError::NonFinite)
             } else {
                 None
             }

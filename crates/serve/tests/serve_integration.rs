@@ -1,9 +1,9 @@
 //! End-to-end contracts for the serving layer: responses are bitwise
 //! identical to a locally-built same-seed plan, tenants are isolated,
-//! malformed requests get typed errors, graceful shutdown answers every
-//! queued request, batching actually coalesces under load, and the
-//! simulation driver is bit-for-bit deterministic across runs and
-//! worker-pool thread caps.
+//! malformed and non-finite requests get typed errors, graceful
+//! shutdown answers every queued request, batching actually coalesces
+//! under load, and the simulation driver is bit-for-bit deterministic
+//! across runs and worker-pool thread caps.
 
 use std::rc::Rc;
 use std::sync::mpsc::channel;
@@ -153,6 +153,39 @@ fn malformed_requests_get_typed_errors_immediately() {
     let stats = server.shutdown(0).unwrap();
     assert_eq!(stats.failed, 2);
     assert_eq!(stats.completed, 0);
+}
+
+#[test]
+fn non_finite_window_is_rejected_and_leaves_its_neighbours_alone() {
+    // TS3Net selects T_f from the spectrum averaged over the batch, so a
+    // NaN lane held in the same batch would change request 1's forecast.
+    let serve_one = |with_nan: bool| {
+        let server = ServerHandle::start(serve_cfg(8, 4), || vec![freeze("TS3Net", 7)]);
+        let (tx, rx) = channel();
+        let (tx_nan, rx_nan) = channel();
+        let request = |input| ForecastRequest { tenant: 0, input, submitted: 0, deadline: 10 };
+        server.submit(request(window(1)), &tx).unwrap();
+        if with_nan {
+            let mut bad = window(2);
+            bad.as_mut_slice()[5] = f32::NAN;
+            server.submit(request(bad), &tx_nan).unwrap();
+        }
+        let stats = server.shutdown(4).unwrap();
+        (rx.recv().unwrap(), rx_nan.try_recv().ok(), stats)
+    };
+    let (alone, _, _) = serve_one(false);
+    let (neighbour, nan_reply, stats) = serve_one(true);
+    match nan_reply.map(|r| r.result) {
+        Some(Err(ServeError::NonFinite)) => {}
+        other => panic!("expected NonFinite, got {other:?}"),
+    }
+    assert_eq!(neighbour.batched_with, 1, "the NaN window never joins a batch");
+    assert_eq!(
+        neighbour.result.unwrap().as_slice(),
+        alone.result.unwrap().as_slice(),
+        "the co-submitted reply must be bit-identical to a run without the NaN request"
+    );
+    assert_eq!((stats.completed, stats.failed), (1, 1));
 }
 
 #[test]

@@ -29,6 +29,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 use ts3_json::Json;
+use ts3_obs::nearest_rank;
 use ts3_rng::rngs::StdRng;
 use ts3_rng::{Rng, SeedableRng};
 use ts3_signal::decompose::{triple_decompose, TripleConfig};
@@ -54,16 +55,12 @@ struct Row {
 
 fn summarize(op: &str, shape: &str, samples: &mut Vec<u64>) -> Row {
     samples.sort_unstable();
-    let pct = |q: f64| -> u64 {
-        let idx = ((samples.len() - 1) as f64 * q).round() as usize;
-        samples[idx.min(samples.len() - 1)]
-    };
     Row {
         op: op.to_string(),
         shape: shape.to_string(),
-        median_ns: pct(0.50),
-        p25_ns: pct(0.25),
-        p75_ns: pct(0.75),
+        median_ns: nearest_rank(samples, 0.50),
+        p25_ns: nearest_rank(samples, 0.25),
+        p75_ns: nearest_rank(samples, 0.75),
         min_ns: samples[0],
         iters: samples.len() as u64,
     }
