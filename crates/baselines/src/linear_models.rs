@@ -31,18 +31,18 @@ impl DLinear {
 
 impl ForecastModel for DLinear {
     fn forecast(&self, x: &Tensor, ctx: &mut Ctx) -> Var {
-        // Serving-timeline seams (inert outside a served batch).
+        // Stage spans; inside a served batch they also file its timeline.
         let (trend, seasonal) = {
-            let _tl = ts3_obs::stage_scope("decompose");
+            let _stage = ts3_obs::stage("dlinear.decompose");
             let trend = moving_avg_same(x, 1, self.kernel);
             let seasonal = x.sub(&trend);
             (trend, seasonal)
         };
         let yt = {
-            let _tl = ts3_obs::stage_scope("trend_linear");
+            let _stage = ts3_obs::stage("dlinear.trend_linear");
             self.trend.forward(&Var::constant(trend), ctx)
         };
-        let _tl = ts3_obs::stage_scope("seasonal_linear");
+        let _stage = ts3_obs::stage("dlinear.seasonal_linear");
         let ys = self.seasonal.forward(&Var::constant(seasonal), ctx);
         yt.add(&ys)
     }

@@ -22,6 +22,7 @@
 //!
 //! ```text
 //! trace_check <path> [--require-epoch] [--require-kernel-span] [--require-counter NAME]...
+//!             [--require-coverage NAME]...
 //! trace_check --timeline <path>
 //! trace_check --flight <path>
 //! trace_check --lint <path>
@@ -31,40 +32,32 @@
 //! `metrics.counters` holds a non-zero `NAME` — used by `verify.sh` to
 //! assert the AVX2 dispatch counters actually ticked on hosts that
 //! advertise the feature.
+//!
+//! `--require-coverage NAME` (repeatable) fails when the spans named
+//! `NAME` are not broken down by their children: when their summed
+//! self-time (duration minus the durations of direct children) is more
+//! than 10% of their summed duration, or when no span has that name.
 
 use ts3_json::Json;
 
-/// Recursively count events named `name` in a span subtree.
-fn count_events(span: &Json, name: &str) -> usize {
-    let mut n = 0;
-    if let Some(events) = span.get("events").and_then(|e| e.as_array()) {
-        n += events
-            .iter()
-            .filter(|e| e.get("name").and_then(|v| v.as_str()) == Some(name))
-            .count();
-    }
-    if let Some(children) = span.get("children").and_then(|c| c.as_array()) {
-        for c in children {
-            n += count_events(c, name);
-        }
-    }
-    n
+fn name(node: &Json) -> Option<&str> {
+    node.get("name").and_then(|v| v.as_str())
 }
 
-/// Recursively count spans whose name starts with one of `prefixes`.
-fn count_kernel_spans(span: &Json, prefixes: &[&str]) -> usize {
-    let mut n = 0;
-    if let Some(name) = span.get("name").and_then(|v| v.as_str()) {
-        if prefixes.iter().any(|p| name.starts_with(p)) {
-            n += 1;
-        }
+fn children(span: &Json) -> &[Json] {
+    span.get("children").and_then(|c| c.as_array()).unwrap_or(&[])
+}
+
+fn dur_us(span: &Json) -> f64 {
+    span.get("dur_us").and_then(|v| v.as_f64()).unwrap_or(0.0)
+}
+
+/// Every span of a span forest, at every depth, parents first.
+fn flatten<'a>(spans: &'a [Json], out: &mut Vec<&'a Json>) {
+    for s in spans {
+        out.push(s);
+        flatten(children(s), out);
     }
-    if let Some(children) = span.get("children").and_then(|c| c.as_array()) {
-        for c in children {
-            n += count_kernel_spans(c, prefixes);
-        }
-    }
-    n
 }
 
 fn fail(msg: &str) -> ! {
@@ -255,20 +248,24 @@ fn main() {
         return;
     }
     let path = args.iter().find(|a| !a.starts_with("--")).unwrap_or_else(|| {
-        fail("usage: trace_check <path> [--require-epoch] [--require-kernel-span] | --timeline <path> | --flight <path>")
+        fail("usage: trace_check <path> [--require-epoch] [--require-kernel-span] [--require-counter NAME]... [--require-coverage NAME]... | --timeline <path> | --flight <path> | --lint <path>")
     });
     let require_epoch = args.iter().any(|a| a == "--require-epoch");
     let require_kernel = args.iter().any(|a| a == "--require-kernel-span");
-    let required_counters: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--require-counter")
-        .map(|(i, _)| {
-            args.get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .unwrap_or_else(|| fail("--require-counter needs a counter name"))
-        })
-        .collect();
+    // The values of a repeatable `--flag NAME` option.
+    let values_of = |flag: &str| -> Vec<&String> {
+        args.iter()
+            .enumerate()
+            .filter(|(_, a)| *a == flag)
+            .map(|(i, _)| {
+                args.get(i + 1)
+                    .filter(|v| !v.starts_with("--"))
+                    .unwrap_or_else(|| fail(&format!("{flag} needs a name")))
+            })
+            .collect()
+    };
+    let required_counters = values_of("--require-counter");
+    let required_coverage = values_of("--require-coverage");
 
     let doc = load(path);
     check_schema(&doc, path, ts3_bench::TRACE_SCHEMA);
@@ -281,11 +278,17 @@ fn main() {
         .get("metrics")
         .unwrap_or_else(|| fail(&format!("{path}: no metrics object")));
 
-    let epochs: usize = spans.iter().map(|s| count_events(s, "epoch")).sum();
-    let kernels: usize = spans
+    let mut all = Vec::new();
+    flatten(spans, &mut all);
+    let epochs: usize = all
         .iter()
-        .map(|s| count_kernel_spans(s, &["tensor.", "signal."]))
+        .filter_map(|s| s.get("events").and_then(|e| e.as_array()))
+        .map(|events| events.iter().filter(|e| name(e) == Some("epoch")).count())
         .sum();
+    let kernels = all
+        .iter()
+        .filter(|s| name(s).is_some_and(|n| n.starts_with("tensor.") || n.starts_with("signal.")))
+        .count();
     let flops = metrics
         .get("counters")
         .and_then(|c| c.get("tensor.matmul.flops"))
@@ -312,6 +315,25 @@ fn main() {
         if value <= 0.0 {
             fail(&format!("{path}: required counter {name} missing or zero"));
         }
+    }
+    for want in &required_coverage {
+        // Self-time: a span's duration minus its direct children's.
+        let named: Vec<&Json> = all.iter().copied().filter(|s| name(s) == Some(want)).collect();
+        let total: f64 = named.iter().map(|s| dur_us(s)).sum();
+        let self_us: f64 =
+            named.iter().map(|s| dur_us(s) - children(s).iter().map(dur_us).sum::<f64>()).sum();
+        if total <= 0.0 {
+            fail(&format!("{path}: no timed span named {want}"));
+        }
+        let share = self_us / total;
+        if share > 0.10 {
+            fail(&format!(
+                "{path}: {want} self-time is {:.1}% of its total (limit 10%): \
+                 its children do not account for its time",
+                share * 100.0
+            ));
+        }
+        println!("trace_check: {want} self-time {:.2}% of {total:.0} us", share * 100.0);
     }
     // Split drop counters landed with obs v2; older manifests only have
     // the dropped_records sum — tolerate absence, warn on overflow.

@@ -18,8 +18,7 @@
 use std::hint::black_box as hint_black_box;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use ts3_json::Json;
-use ts3_obs::nearest_rank;
+use ts3_obs::{bench_json, nearest_rank, BenchRow};
 
 /// Re-export of [`std::hint::black_box`] under the name benchmark
 /// bodies conventionally use.
@@ -85,31 +84,27 @@ impl Harness {
         &self.results
     }
 
-    /// Write the results as machine-readable JSON: one entry per
+    /// Write the results as a `ts3.bench.v1` document: one row per
     /// benchmark with the label's `op`/`shape` halves, nanosecond
     /// timing percentiles and the thread cap the run used.
     pub fn write_json(&self, path: &Path) -> std::io::Result<PathBuf> {
-        let entries: Json = self
+        let rows: Vec<BenchRow> = self
             .results
             .iter()
             .map(|(label, s)| {
                 let (op, shape) = label.split_once('/').unwrap_or((label.as_str(), ""));
-                Json::obj([
-                    ("op", Json::from(op)),
-                    ("shape", Json::from(shape)),
-                    ("median_ns", Json::Num(s.median.as_nanos() as f64)),
-                    ("p25_ns", Json::Num(s.p25.as_nanos() as f64)),
-                    ("p75_ns", Json::Num(s.p75.as_nanos() as f64)),
-                    ("min_ns", Json::Num(s.min.as_nanos() as f64)),
-                    ("iters", Json::Num(s.iters as f64)),
-                ])
+                BenchRow {
+                    op: op.to_string(),
+                    shape: shape.to_string(),
+                    median_ns: s.median.as_nanos() as u64,
+                    p25_ns: s.p25.as_nanos() as u64,
+                    p75_ns: s.p75.as_nanos() as u64,
+                    min_ns: s.min.as_nanos() as u64,
+                    iters: s.iters,
+                }
             })
             .collect();
-        let doc = Json::obj([
-            ("schema", Json::from("ts3.bench.v1")),
-            ("threads", Json::Num(ts3_tensor::par::max_threads() as f64)),
-            ("entries", entries),
-        ]);
+        let doc = bench_json(ts3_tensor::par::max_threads(), &rows);
         std::fs::write(path, doc.to_string_pretty())?;
         Ok(path.to_path_buf())
     }
@@ -187,6 +182,7 @@ pub fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ts3_json::Json;
 
     #[test]
     fn fmt_duration_ranges() {

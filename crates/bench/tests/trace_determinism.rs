@@ -19,6 +19,7 @@ use std::sync::Mutex;
 use ts3_bench::{prepare_task, train_forecaster, RunProfile};
 use ts3_baselines::{build_forecaster, BaselineConfig};
 use ts3_data::spec_by_name;
+use ts3_nn::Ctx;
 use ts3_signal::{CwtPlan, WaveletKind};
 use ts3_tensor::par::set_max_threads;
 use ts3_tensor::Tensor;
@@ -85,6 +86,43 @@ fn metrics_and_tree_shape_ignore_thread_count() {
         shape_1, shape_4,
         "span tree shape differs between TS3_THREADS=1 and TS3_THREADS=4"
     );
+}
+
+/// A taped TS3Net forecast is broken down by its stage spans: the
+/// children of `ts3net.forecast` are the paper's pipeline in order, and
+/// with no serving batch open they file no timeline record.
+#[test]
+fn taped_forecast_children_are_its_stages() {
+    let _guard = cap_lock();
+    set_max_threads(1);
+    ts3_obs::set_level(1);
+    ts3_obs::reset();
+    let cfg = BaselineConfig::scaled(2, 24, 12);
+    let ts3 = TS3NetConfig::scaled(2, 24, 12);
+    let model = build_forecaster("TS3Net", &cfg, &ts3, 3);
+    let y = model.forecast(&Tensor::randn(&[2, 24, 2], 5), &mut Ctx::train(7));
+    let (mut spans, _, _) = ts3_obs::snapshot_records();
+    let (_, batches, _) = ts3_obs::timeline_snapshot();
+    ts3_obs::set_level(0);
+    ts3_obs::reset();
+
+    assert_eq!(y.shape(), &[2, 12, 2]);
+    spans.sort_by_key(|s| s.id);
+    let forecast = spans.iter().find(|s| s.name == "ts3net.forecast").expect("forecast span");
+    let children: Vec<&str> =
+        spans.iter().filter(|s| s.parent == Some(forecast.id)).map(|s| s.name).collect();
+    assert_eq!(
+        children,
+        [
+            "ts3net.trend_split",
+            "ts3net.select_t_f",
+            "ts3net.embed",
+            "ts3net.block0",
+            "ts3net.block1",
+            "ts3net.heads",
+        ]
+    );
+    assert!(batches.is_empty(), "stages outside a served batch must file no batch");
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {

@@ -51,9 +51,11 @@ pub struct TS3Net {
     fluct_head: PredictionHead,
     trend_head: Autoregression,
     display_name: String,
-    /// Serving-timeline stage name of each backbone step (`block{l}`).
-    block_stages: Vec<String>,
 }
+
+/// Stage span of each backbone step, filed into a serving timeline as
+/// `block{l}`.
+const BLOCK_STAGES: [&str; 4] = ["ts3net.block0", "ts3net.block1", "ts3net.block2", "ts3net.block3"];
 
 impl TS3Net {
     /// Build a TS3Net from its configuration, seeded deterministically.
@@ -64,6 +66,7 @@ impl TS3Net {
     /// and only add noise — the short-lookback ILI setting is where this
     /// matters.
     pub fn new(mut cfg: TS3NetConfig, seed: u64) -> Self {
+        assert!(cfg.n_blocks <= BLOCK_STAGES.len(), "TS3Net supports at most 4 blocks");
         cfg.lambda = cfg.lambda.min((cfg.lookback / 6).max(2));
         let mut rng = StdRng::seed_from_u64(seed);
         let plans = branch_plans(cfg.lookback, cfg.lambda, &cfg.branches);
@@ -121,7 +124,6 @@ impl TS3Net {
             (false, true) => "TS3Net w/o TF-Block".to_string(),
             (true, true) => "TS3Net w/o Both".to_string(),
         };
-        let block_stages = (0..cfg.n_blocks).map(|l| format!("block{l}")).collect();
         TS3Net {
             cfg,
             embed,
@@ -133,7 +135,6 @@ impl TS3Net {
             fluct_head,
             trend_head,
             display_name,
-            block_stages,
         }
     }
 
@@ -142,8 +143,8 @@ impl TS3Net {
     fn backbone(&self, h0: Var, t_f: usize, ctx: &mut Ctx) -> (Var, Option<Var>) {
         let mut h = h0;
         let mut fluct_sum: Option<Var> = None;
-        for (l, stage) in self.block_stages.iter().enumerate() {
-            let _tl = ts3_obs::stage_scope(stage);
+        for (l, &name) in BLOCK_STAGES[..self.cfg.n_blocks].iter().enumerate() {
+            let _stage = ts3_obs::stage(name);
             let h_in = if self.cfg.ablation.without_td {
                 h.clone()
             } else {
@@ -185,29 +186,29 @@ impl ForecastModel for TS3Net {
                 ts3_obs::counter_add("ts3net.forecast.calls", 1);
             }
         }
-        // Each `stage_scope` files one execute segment into the serving
-        // timeline when a batch scope is open on this thread (a served
-        // `CompiledPlan::run`); everywhere else it is a single gate load.
+        // Each stage span is a child of `ts3net.forecast` in the trace
+        // and, inside a served `CompiledPlan::run`, also files one
+        // execute segment into the serving timeline batch.
         if self.cfg.ablation.without_td {
             // Ablation: no decomposition at all — plain backbone + head.
             let h0 = {
-                let _tl = ts3_obs::stage_scope("embed");
+                let _stage = ts3_obs::stage("ts3net.embed");
                 self.embed.forward(&Var::constant(x.clone()), ctx)
             };
             let (h, _) = self.backbone(h0, 0, ctx);
-            let _tl = ts3_obs::stage_scope("heads");
+            let _stage = ts3_obs::stage("ts3net.heads");
             return self.regular_head.forward(&h, ctx);
         }
         // (1) Trend decomposition (Eq. 1).
         let (trend, seasonal) = {
-            let _tl = ts3_obs::stage_scope("trend_split");
+            let _stage = ts3_obs::stage("ts3net.trend_split");
             batch_trend_split(x, &DEFAULT_TREND_KERNELS)
         };
         // (2) Dominant sub-series length T_f (Eq. 2). Clamped to T/2: the
         // spectrum gradient needs u = T / T_f >= 2 sub-series to have any
         // chunk difference at all.
         let t_f = {
-            let _tl = ts3_obs::stage_scope("select_t_f");
+            let _stage = ts3_obs::stage("ts3net.select_t_f");
             self.cfg
                 .t_f
                 .unwrap_or_else(|| batch_dominant_period(&seasonal))
@@ -215,12 +216,12 @@ impl ForecastModel for TS3Net {
         };
         // (3) Seasonal branch through the S-GD / TF-Block stack.
         let h0 = {
-            let _tl = ts3_obs::stage_scope("embed");
+            let _stage = ts3_obs::stage("ts3net.embed");
             self.embed.forward(&Var::constant(seasonal), ctx)
         };
         let (h, fluct_sum) = self.backbone(h0, t_f, ctx);
         // (4) Heads (Eq. 14-16).
-        let _tl = ts3_obs::stage_scope("heads");
+        let _stage = ts3_obs::stage("ts3net.heads");
         let y_regular = self.regular_head.forward(&h, ctx);
         let y_trend = self.trend_head.forward(&Var::constant(trend), ctx);
         let mut y = y_regular.add(&y_trend);

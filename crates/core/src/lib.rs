@@ -22,7 +22,7 @@
 //! * [`plan`] — compiled inference plans ([`CompiledPlan`]): snapshotted
 //!   weights plus the model's own eager forward run under no-grad,
 //!   bitwise identical to the taped forward. Per-stage serving timelines
-//!   come from `ts3_obs::stage_scope` seams inside the forwards.
+//!   come from the `ts3_obs::stage` spans inside the forwards.
 //!
 //! ```
 //! use ts3net_core::{TS3Net, TS3NetConfig, ForecastModel};

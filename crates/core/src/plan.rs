@@ -7,10 +7,11 @@
 //! [`ForecastModel::forecast`] under [`ts3_autograd::NoGradGuard`] — each
 //! op returns a parentless leaf, so no graph, no backward closures, and
 //! no per-call tape allocation exist on the serving path. Per-stage
-//! serving timelines come from the `ts3_obs::stage_scope` seams inside
-//! the eager forwards (TS3Net: `trend_split`, `select_t_f`, `embed`,
-//! `block{l}`, `heads`; DLinear: `decompose`, `trend_linear`,
-//! `seasonal_linear`).
+//! serving timelines come from the `ts3_obs::stage` spans inside the
+//! eager forwards (TS3Net: `ts3net.trend_split`, `ts3net.select_t_f`,
+//! `ts3net.embed`, `ts3net.block{l}`, `ts3net.heads`; DLinear:
+//! `dlinear.decompose`, `dlinear.trend_linear`,
+//! `dlinear.seasonal_linear`).
 //!
 //! Two contracts, both enforced:
 //!

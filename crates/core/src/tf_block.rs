@@ -25,10 +25,17 @@ impl Branch {
         let (b, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let lambda = self.plan.lambda;
         // TF Learning Layer (Eq. 13, line 2): 1-D -> 2-D expansion.
-        let tf = cwt_amplitude(x, &self.plan); // [B, D, lambda, T]
+        let tf = {
+            let _s = ts3_obs::span("tfblock.cwt");
+            cwt_amplitude(x, &self.plan) // [B, D, lambda, T]
+        };
         // ConvBackbone (inception over the TF plane).
-        let h = self.conv.forward(&tf, ctx); // [B, D, lambda, T]
+        let h = {
+            let _s = ts3_obs::span("tfblock.conv");
+            self.conv.forward(&tf, ctx) // [B, D, lambda, T]
+        };
         // FeedForward Layer: fold (D, lambda) per timestep back to D.
+        let _s = ts3_obs::span("tfblock.fold");
         let h = h.permute(&[0, 3, 1, 2]); // [B, T, D, lambda]
         let h = h.reshape(&[b, t, d * lambda]);
         self.fold.forward(&h, ctx) // [B, T, D]
@@ -88,6 +95,7 @@ impl TfBlock {
 impl Module for TfBlock {
     fn forward(&self, x: &Var, ctx: &mut Ctx) -> Var {
         let outs: Vec<Var> = self.branches.iter().map(|br| br.forward(x, ctx)).collect();
+        let _s = ts3_obs::span("tfblock.merge");
         // Weight-learned Merge Layer: softmax over branch logits.
         let weights = self.merge_logits.var().softmax_last(); // [m]
         let mut merged: Option<Var> = None;

@@ -1,8 +1,9 @@
 //! The [`ts3_json`] sink: serialise the span tree and the metrics
 //! registry as `Json` documents (the schema documented in README
-//! §Observability) and honour `TS3_METRICS_OUT`.
+//! §Observability), honour `TS3_METRICS_OUT`, and write the
+//! `ts3.bench.v1` rows every benchmark binary reports through.
 
-use crate::labels::{MetricsSnapshot, HIST_BOUNDS};
+use crate::labels::{nearest_rank, MetricsSnapshot, HIST_BOUNDS};
 use crate::trace::{EventRec, FieldValue, SpanRec};
 use ts3_json::Json;
 
@@ -179,10 +180,104 @@ pub fn write_metrics_out() -> std::io::Result<Option<String>> {
     Ok(Some(path))
 }
 
+/// One `(op, shape)` row of a `ts3.bench.v1` document. `median_ns` is
+/// the value `bench_compare` gates on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BenchRow {
+    /// Operation name, e.g. `serve_latency`.
+    pub op: String,
+    /// Shape/variant tag, e.g. `c8` for 8 clients.
+    pub shape: String,
+    /// Gated metric.
+    pub median_ns: u64,
+    /// Lower quartile.
+    pub p25_ns: u64,
+    /// Upper quartile.
+    pub p75_ns: u64,
+    /// Fastest sample.
+    pub min_ns: u64,
+    /// Samples (or iterations) behind the row.
+    pub iters: u64,
+}
+
+impl BenchRow {
+    /// Row summarizing ascending-sorted nanosecond samples by
+    /// [`nearest_rank`].
+    pub fn from_sorted(op: &str, shape: &str, sorted: &[u64]) -> BenchRow {
+        BenchRow {
+            op: op.to_string(),
+            shape: shape.to_string(),
+            median_ns: nearest_rank(sorted, 0.50),
+            p25_ns: nearest_rank(sorted, 0.25),
+            p75_ns: nearest_rank(sorted, 0.75),
+            min_ns: sorted.first().copied().unwrap_or(0),
+            iters: sorted.len() as u64,
+        }
+    }
+
+    /// Row for a single scalar metric (e.g. ns-per-forecast rate).
+    pub fn scalar(op: &str, shape: &str, value_ns: u64, iters: u64) -> BenchRow {
+        BenchRow {
+            op: op.to_string(),
+            shape: shape.to_string(),
+            median_ns: value_ns,
+            p25_ns: value_ns,
+            p75_ns: value_ns,
+            min_ns: value_ns,
+            iters,
+        }
+    }
+}
+
+/// Render rows as a `ts3.bench.v1` document for a run at `threads`
+/// worker threads. Keys and their order are the schema `bench_compare`
+/// and the committed `results/BENCH_*.json` files share.
+pub fn bench_json(threads: usize, rows: &[BenchRow]) -> Json {
+    let entries: Json = rows
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("op", Json::from(r.op.as_str())),
+                ("shape", Json::from(r.shape.as_str())),
+                ("median_ns", Json::Num(r.median_ns as f64)),
+                ("p25_ns", Json::Num(r.p25_ns as f64)),
+                ("p75_ns", Json::Num(r.p75_ns as f64)),
+                ("min_ns", Json::Num(r.min_ns as f64)),
+                ("iters", Json::Num(r.iters as f64)),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("schema", Json::from("ts3.bench.v1")),
+        ("threads", Json::Num(threads as f64)),
+        ("entries", entries),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::test_lock;
+
+    #[test]
+    fn bench_json_round_trips_through_ts3_json() {
+        let rows = [
+            BenchRow::from_sorted("serve_latency", "c8", &[80, 90, 100, 110, 200]),
+            BenchRow::scalar("serve_rate", "c8", 12345, 64),
+        ];
+        assert_eq!((rows[0].min_ns, rows[0].median_ns, rows[0].iters), (80, 100, 5));
+        let text = bench_json(2, &rows).to_string_pretty();
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some("ts3.bench.v1"));
+        assert_eq!(doc.get("threads").unwrap().as_usize(), Some(2));
+        let entries = doc.get("entries").unwrap().as_array().unwrap();
+        assert_eq!(entries.len(), 2);
+        let keys: Vec<&str> =
+            entries[0].as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["op", "shape", "median_ns", "p25_ns", "p75_ns", "min_ns", "iters"]);
+        assert_eq!(entries[0].get("op").unwrap().as_str(), Some("serve_latency"));
+        assert_eq!(entries[1].get("median_ns").unwrap().as_f64(), Some(12345.0));
+    }
 
     #[test]
     fn trace_and_metrics_round_trip_through_parser() {

@@ -19,7 +19,8 @@
 //! * [`timeline`] — *where did this request's latency go?* A
 //!   [`RequestCtx`] minted at enqueue, tracked through
 //!   queue-wait → coalesce-hold → per-stage execute → respond, exported
-//!   as `ts3.timeline.v1`.
+//!   as `ts3.timeline.v1`. [`Span`] is the only timer: a batch is its
+//!   `serve.batch` span ([`begin_batch`]) and a stage a [`stage`] span.
 //! * [`flight`] — *what happened right before it broke?* A bounded
 //!   event ring + rolling deadline-miss SLO window, dumping a
 //!   `ts3.flight.v1` postmortem on threshold crossing or panic.
@@ -90,7 +91,7 @@ pub mod labels;
 pub mod timeline;
 pub mod trace;
 
-pub use export::{dump_json, folded_stacks, metrics_to_json, trace_to_json};
+pub use export::{bench_json, dump_json, folded_stacks, metrics_to_json, trace_to_json, BenchRow};
 pub use gate::{enabled, explicitly_silent, level, metrics_out, set_level, verbose};
 pub use labels::{
     counter_add, counter_add_l, gauge_set, gauge_set_l, labeled_snapshot, metrics_snapshot,
@@ -98,7 +99,7 @@ pub use labels::{
 };
 pub use timeline::{
     begin_batch, begin_request, deterministic_digest, mark_flushed, mark_respond, mark_seen,
-    reset_timeline, stage_scope, timeline_snapshot, timeline_to_json, RequestCtx,
+    reset_timeline, stage, timeline_snapshot, timeline_to_json, RequestCtx,
 };
 pub use trace::{
     dropped_counts, event, reset_trace, snapshot_records, span, tree_shape, EventRec, FieldValue,

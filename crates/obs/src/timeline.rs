@@ -13,10 +13,11 @@
 //!
 //! Tick-valued segments (queue-wait, hold, respond) come from the
 //! serving layer's **virtual clock** and are therefore deterministic;
-//! per-stage execute times are wallclock nanoseconds (this file is on
-//! the `ts3lint.json` wallclock allowlist for exactly that reason) and
-//! are excluded from [`deterministic_digest`], which is what the
-//! cross-thread-count test compares.
+//! per-stage execute times are the wallclock durations of the closing
+//! spans (a batch is its `serve.batch` span, a stage any [`stage`]
+//! span; this module reads no clock itself) and are excluded from
+//! [`deterministic_digest`], which is what the cross-thread-count test
+//! compares.
 //!
 //! Export is [`timeline_to_json`] → a `ts3.timeline.v1` document with
 //! the raw request/batch records plus a per-tenant nearest-rank
@@ -26,10 +27,10 @@
 //! one relaxed atomic load and allocates nothing.
 
 use crate::gate;
+use crate::trace::{self, Role, Span};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 use ts3_json::Json;
 
 /// Hard cap on stored request records (overflow counted, not stored).
@@ -86,7 +87,8 @@ pub struct ReqRec {
 /// One executed batch: which stages ran and what each cost.
 #[derive(Debug, Clone)]
 pub struct BatchRec {
-    /// Batch timeline id (shared by its requests' `batch` field).
+    /// Batch timeline id: the id of its `serve.batch` span (shared by
+    /// its requests' `batch` field).
     pub id: u64,
     /// Tenant whose plan executed.
     pub tenant: usize,
@@ -94,9 +96,9 @@ pub struct BatchRec {
     pub tick: u64,
     /// Requests in the batch.
     pub size: usize,
-    /// `(stage name, wallclock ns)` in execution order.
-    pub stages: Vec<(String, u64)>,
-    /// Wallclock ns for the whole execute (stages + stacking/reply).
+    /// `(stage label, wallclock ns)` in execution order.
+    pub stages: Vec<(&'static str, u64)>,
+    /// Wallclock ns of the batch's `serve.batch` span.
     pub total_ns: u64,
 }
 
@@ -113,11 +115,10 @@ fn store() -> &'static Mutex<TimelineStore> {
 }
 
 static NEXT_REQ: AtomicU64 = AtomicU64::new(1);
-static NEXT_BATCH: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     /// Batch record under construction on this thread (the serve
-    /// executor), receiving stage marks from `stage_scope`.
+    /// executor), receiving the segments of closing [`stage`] spans.
     static CURRENT_BATCH: RefCell<Option<BatchRec>> = const { RefCell::new(None) };
 }
 
@@ -189,96 +190,54 @@ pub fn mark_respond(ctx: RequestCtx, tick: u64, missed: bool) {
     });
 }
 
-/// RAII guard for one batch execution on the current thread. Stage
-/// scopes opened while it lives attach to it; dropping files the
-/// record (with total wallclock ns) and returns its id via
-/// [`BatchGuard::id`] read before the drop.
-pub struct BatchGuard {
-    id: u64,
-    start: Option<Instant>,
+/// Open the `serve.batch` span for one batch execution at `tick` for
+/// `tenant`, covering `size` requests. Stage spans ([`stage`]) closing
+/// on this thread while it lives file their segments into the batch;
+/// dropping it files the [`BatchRec`] under the span's id
+/// ([`Span::id`], which requests pass to [`mark_flushed`]) with the
+/// span's duration as `total_ns`. Inert (id 0) when tracing is
+/// disabled; past [`MAX_BATCHES`] the span still records but the batch
+/// record is counted as dropped.
+pub fn begin_batch(tenant: usize, tick: u64, size: usize) -> Span {
+    let span = trace::open("serve.batch", Role::Batch);
+    if span.active() {
+        let rec = BatchRec { id: span.id(), tenant, tick, size, stages: Vec::new(), total_ns: 0 };
+        CURRENT_BATCH.with(|b| *b.borrow_mut() = Some(rec));
+    }
+    span
 }
 
-impl BatchGuard {
-    /// Timeline id of this batch (0 when inert).
-    #[inline]
-    pub fn id(&self) -> u64 {
-        self.id
-    }
+/// Open a span named `name` that is also one stage of the timeline
+/// batch open on this thread: when it closes, it files
+/// `(label, dur_ns)`, where the label is the part of `name` after its
+/// last `.` (`ts3net.trend_split` files `trend_split`). Outside a batch
+/// it is an ordinary span. Model forwards (TS3Net, DLinear) open one
+/// per stage seam unconditionally; untraced runs pay one gate load.
+#[inline]
+pub fn stage(name: &'static str) -> Span {
+    trace::open(name, Role::Stage)
 }
 
-/// Open a batch-execution scope at `tick` for `tenant`, covering
-/// `size` requests. Inert (id 0, no clock read) when tracing is
-/// disabled or the batch cap is hit.
-pub fn begin_batch(tenant: usize, tick: u64, size: usize) -> BatchGuard {
-    if !gate::enabled() {
-        return BatchGuard { id: 0, start: None };
-    }
-    {
-        // ts3-lint: allow(no-unwrap-in-lib) timeline mutex poisoning means a recording thread panicked; timeline state is unrecoverable
-        let mut s = store().lock().unwrap();
-        if s.batches.len() >= MAX_BATCHES {
-            s.dropped += 1;
-            return BatchGuard { id: 0, start: None };
-        }
-    }
-    let id = NEXT_BATCH.fetch_add(1, Ordering::Relaxed);
+/// File a closing stage span into the batch open on this thread.
+pub(crate) fn file_stage(name: &'static str, dur_ns: u64) {
+    let label = name.rfind('.').map_or(name, |i| &name[i + 1..]);
     CURRENT_BATCH.with(|b| {
-        *b.borrow_mut() = Some(BatchRec {
-            id,
-            tenant,
-            tick,
-            size,
-            stages: Vec::new(),
-            total_ns: 0,
-        });
-    });
-    BatchGuard { id, start: Some(Instant::now()) }
-}
-
-impl Drop for BatchGuard {
-    fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let total_ns = start.elapsed().as_nanos() as u64;
-        let rec = CURRENT_BATCH.with(|b| b.borrow_mut().take());
-        let Some(mut rec) = rec else { return };
-        rec.total_ns = total_ns;
-        // ts3-lint: allow(no-unwrap-in-lib) timeline mutex poisoning means a recording thread panicked; timeline state is unrecoverable
-        let mut s = store().lock().unwrap();
-        if s.batches.len() < MAX_BATCHES {
-            s.batches.push(rec);
-        } else {
-            s.dropped += 1;
+        if let Some(rec) = b.borrow_mut().as_mut() {
+            rec.stages.push((label, dur_ns));
         }
-    }
+    });
 }
 
-/// RAII guard timing one forward stage inside the current batch scope.
-pub struct StageGuard {
-    name: Option<String>,
-    start: Option<Instant>,
-}
-
-/// Time one named stage of the batch currently executing on this
-/// thread. Inert when tracing is disabled or no batch scope is open —
-/// model forwards (TS3Net, DLinear) call this unconditionally at their
-/// stage seams, so training, evaluation and test runs outside a served
-/// batch pay only the gate load and allocate nothing.
-pub fn stage_scope(name: &str) -> StageGuard {
-    if !gate::enabled() || !CURRENT_BATCH.with(|b| b.borrow().is_some()) {
-        return StageGuard { name: None, start: None };
-    }
-    StageGuard { name: Some(name.to_string()), start: Some(Instant::now()) }
-}
-
-impl Drop for StageGuard {
-    fn drop(&mut self) {
-        let (Some(name), Some(start)) = (self.name.take(), self.start) else { return };
-        let dur_ns = start.elapsed().as_nanos() as u64;
-        CURRENT_BATCH.with(|b| {
-            if let Some(rec) = b.borrow_mut().as_mut() {
-                rec.stages.push((name, dur_ns));
-            }
-        });
+/// File the batch open on this thread as its `serve.batch` span closes.
+pub(crate) fn file_batch(total_ns: u64) {
+    let Some(mut rec) = CURRENT_BATCH.with(|b| b.borrow_mut().take()) else { return };
+    rec.total_ns = total_ns;
+    // ts3-lint: allow(no-unwrap-in-lib) timeline mutex poisoning means a recording thread panicked; timeline state is unrecoverable
+    let mut s = store().lock().unwrap();
+    if s.batches.len() < MAX_BATCHES {
+        s.batches.push(rec);
+    } else {
+        s.dropped += 1;
     }
 }
 
@@ -355,7 +314,7 @@ pub fn timeline_to_json() -> Json {
                 .iter()
                 .map(|(name, ns)| {
                     Json::obj([
-                        ("stage", Json::Str(name.clone())),
+                        ("stage", Json::from(*name)),
                         ("dur_ns", Json::Num(*ns as f64)),
                     ])
                 })
@@ -426,7 +385,7 @@ pub fn deterministic_digest() -> String {
         ));
     }
     for b in &batches {
-        let stages: Vec<&str> = b.stages.iter().map(|(n, _)| n.as_str()).collect();
+        let stages: Vec<&str> = b.stages.iter().map(|(n, _)| *n).collect();
         out.push_str(&format!(
             "b tenant={} tick={} size={} stages={}\n",
             b.tenant,
@@ -453,9 +412,10 @@ mod tests {
         assert!(!ctx.active());
         mark_seen(ctx, 2);
         mark_respond(ctx, 3, false);
-        let guard = begin_batch(0, 2, 1);
-        assert_eq!(guard.id(), 0);
-        drop(guard);
+        let batch = begin_batch(0, 2, 1);
+        assert_eq!(batch.id(), 0);
+        drop(stage("disabled.stage"));
+        drop(batch);
         let (reqs, batches, dropped) = timeline_snapshot();
         assert!(reqs.is_empty() && batches.is_empty() && dropped == 0);
     }
@@ -464,20 +424,20 @@ mod tests {
     fn request_life_cycle_segments() {
         let _g = test_lock();
         crate::set_level(1);
-        reset_timeline();
+        crate::reset();
         let ctx = begin_request(3, 10, 20);
         assert!(ctx.active());
         mark_seen(ctx, 11);
         mark_seen(ctx, 15); // idempotent: first seen wins
         let batch_id;
         {
-            let guard = begin_batch(3, 12, 4);
-            batch_id = guard.id();
+            let batch = begin_batch(3, 12, 4);
+            batch_id = batch.id();
             {
-                let _s = stage_scope("decompose");
+                let _s = stage("model.decompose");
             }
             {
-                let _s = stage_scope("head");
+                let _s = stage("head");
             }
         }
         mark_flushed(ctx, 12, batch_id, 4);
@@ -489,8 +449,16 @@ mod tests {
         assert!(!r.missed);
         let b = &batches[0];
         assert_eq!(b.size, 4);
-        assert_eq!(b.stages.len(), 2);
-        assert_eq!(b.stages[0].0, "decompose");
+        let labels: Vec<&str> = b.stages.iter().map(|(l, _)| *l).collect();
+        assert_eq!(labels, ["decompose", "head"]);
+        // The batch is filed under its `serve.batch` span, which the
+        // stage spans nest under and whose duration is the batch total.
+        let (spans, _, _) = crate::snapshot_records();
+        let batch_span = spans.iter().find(|s| s.name == "serve.batch").unwrap();
+        assert_eq!(batch_span.id, batch_id);
+        assert_eq!(b.total_ns, batch_span.dur_ns);
+        let stage_span = spans.iter().find(|s| s.name == "model.decompose").unwrap();
+        assert_eq!(stage_span.parent, Some(batch_id));
         let json = timeline_to_json();
         assert_eq!(json.get("schema").and_then(|s| s.as_str()), Some("ts3.timeline.v1"));
         let req = &json.get("requests").and_then(|r| r.as_array()).unwrap()[0];
@@ -499,21 +467,22 @@ mod tests {
         assert_eq!(seg.get("hold").and_then(|v| v.as_f64()), Some(1.0));
         assert_eq!(seg.get("respond").and_then(|v| v.as_f64()), Some(0.0));
         crate::set_level(0);
-        reset_timeline();
+        crate::reset();
     }
 
     #[test]
-    fn stage_scope_outside_batch_is_inert() {
+    fn stage_outside_batch_records_a_span_but_no_batch() {
         let _g = test_lock();
         crate::set_level(1);
-        reset_timeline();
+        crate::reset();
         {
-            let _s = stage_scope("orphan");
+            let _s = stage("model.orphan");
         }
-        let (_, batches, _) = timeline_snapshot();
-        assert!(batches.is_empty());
+        let (_, batches, dropped) = timeline_snapshot();
+        assert!(batches.is_empty() && dropped == 0);
+        assert_eq!(crate::tree_shape(), "model.orphan");
         crate::set_level(0);
-        reset_timeline();
+        crate::reset();
     }
 
     #[test]
@@ -524,10 +493,9 @@ mod tests {
         let ctx = begin_request(0, 0, 4);
         mark_seen(ctx, 1);
         {
-            let g = begin_batch(0, 1, 1);
-            let id = g.id();
-            mark_flushed(ctx, 1, id, 1);
-            let _s = stage_scope("stage0");
+            let batch = begin_batch(0, 1, 1);
+            mark_flushed(ctx, 1, batch.id(), 1);
+            let _s = stage("stage0");
         }
         mark_respond(ctx, 1, false);
         let d = deterministic_digest();

@@ -174,7 +174,23 @@ impl Fields {
     }
 }
 
+/// What a closing span files into the request timeline besides its own
+/// trace record.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// Nothing: an ordinary span.
+    Plain,
+    /// One `(label, dur_ns)` stage of the timeline batch open on the
+    /// thread, if any (see [`crate::timeline::stage`]).
+    Stage,
+    /// The timeline batch itself (see [`crate::timeline::begin_batch`]).
+    Batch,
+}
+
 /// RAII span guard. Created by [`span`]; files its record on drop.
+/// It is the crate's only timer: [`crate::stage`] and
+/// [`crate::begin_batch`] hand out the same guard, which also files the
+/// serving timeline's stage and batch records when it closes.
 ///
 /// When tracing is disabled the guard is inert: no id is assigned, no
 /// clock is read, and **nothing is allocated** (`Vec::new` is
@@ -183,6 +199,7 @@ impl Fields {
 pub struct Span {
     id: u64,
     name: &'static str,
+    role: Role,
     parent: Option<u64>,
     start_ns: u64,
     start: Option<Instant>,
@@ -190,15 +207,17 @@ pub struct Span {
 }
 
 impl Span {
-    #[inline]
-    fn disabled(name: &'static str) -> Span {
-        Span { id: 0, name, parent: None, start_ns: 0, start: None, fields: Vec::new() }
-    }
-
     /// True when this guard is actually recording.
     #[inline]
     pub fn active(&self) -> bool {
         self.start.is_some()
+    }
+
+    /// Creation-order id of the span record (0 when inert). A timeline
+    /// batch is filed under its `serve.batch` span's id.
+    #[inline]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Attach `key = value` to the span record (no-op when inert).
@@ -219,6 +238,11 @@ impl Drop for Span {
                 s.pop();
             }
         });
+        match self.role {
+            Role::Plain => {}
+            Role::Stage => crate::timeline::file_stage(self.name, dur_ns),
+            Role::Batch => crate::timeline::file_batch(dur_ns),
+        }
         let rec = SpanRec {
             id: self.id,
             parent: self.parent,
@@ -250,8 +274,15 @@ impl Drop for Span {
 /// it stays open for the intended scope.
 #[inline]
 pub fn span(name: &'static str) -> Span {
+    open(name, Role::Plain)
+}
+
+/// Open a span that files into the timeline as `role` when it closes.
+#[inline]
+pub(crate) fn open(name: &'static str, role: Role) -> Span {
     if !gate::enabled() {
-        return Span::disabled(name);
+        let fields = Vec::new();
+        return Span { id: 0, name, role, parent: None, start_ns: 0, start: None, fields };
     }
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
     let parent = STACK.with(|s| {
@@ -260,7 +291,8 @@ pub fn span(name: &'static str) -> Span {
         s.push(id);
         parent
     });
-    Span { id, name, parent, start_ns: now_ns(), start: Some(Instant::now()), fields: Vec::new() }
+    let fields = Vec::new();
+    Span { id, name, role, parent, start_ns: now_ns(), start: Some(Instant::now()), fields }
 }
 
 /// Record a point event named `name`. The closure populating the field

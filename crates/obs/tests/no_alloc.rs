@@ -1,6 +1,7 @@
 //! The disabled-path cost contract: with `TS3_TRACE=0`, opening and
-//! dropping spans, recording fields, emitting events and bumping
-//! counters must not allocate at all. With tracing on, bumping an
+//! dropping spans (plain, timeline stage and `serve.batch` spans
+//! alike), recording fields, emitting events and bumping counters must
+//! not allocate at all. With tracing on, bumping an
 //! existing static-name counter or gauge allocates nothing either. A
 //! counting global allocator makes the claims checkable instead of
 //! aspirational.
@@ -59,6 +60,7 @@ fn no_alloc_when_disabled() {
     ts3_obs::counter_add_l("warm", &[("tenant", "0")], 1);
     let _ = ts3_obs::begin_request(0, 0, 1);
     drop(ts3_obs::begin_batch(0, 0, 1));
+    drop(ts3_obs::stage("warm.stage"));
     ts3_obs::flight::note_response(0, 0, false);
 
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -81,7 +83,7 @@ fn no_alloc_when_disabled() {
         {
             let b = ts3_obs::begin_batch(0, i, 1);
             ts3_obs::mark_flushed(ctx, i, b.id(), 1);
-            let _stage = ts3_obs::stage_scope("stage");
+            let _stage = ts3_obs::stage("model.stage");
         }
         ts3_obs::mark_respond(ctx, i, false);
         ts3_obs::flight::note_response(i, 0, false);

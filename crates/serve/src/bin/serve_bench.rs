@@ -27,10 +27,8 @@ use std::time::Instant;
 use ts3_baselines::{build_forecaster, BaselineConfig};
 use ts3_rng::rngs::StdRng;
 use ts3_rng::{Rng, SeedableRng};
-use ts3_serve::{
-    summarize, write_bench_json, BenchRow, ForecastRequest, ForecastResponse, ServerConfig,
-    ServerHandle,
-};
+use ts3_obs::{bench_json, nearest_rank, BenchRow};
+use ts3_serve::{ForecastRequest, ForecastResponse, ServerConfig, ServerHandle};
 use ts3_tensor::Tensor;
 use ts3net_core::{CompiledPlan, ForecastModel, TS3NetConfig};
 
@@ -180,21 +178,26 @@ fn main() {
     let mut rows = Vec::new();
     println!("== serve_bench ({} ticks/run, 2 tenants: TS3Net + DLinear) ==", ticks);
     for n in CLIENT_COUNTS {
-        let r = run_closed_loop(n, ticks);
-        let s = summarize(&r.latencies_ns);
+        let mut r = run_closed_loop(n, ticks);
+        r.latencies_ns.sort_unstable();
+        let p99_ns = nearest_rank(&r.latencies_ns, 0.99);
         let rate_ns = if r.forecasts > 0 { r.total_ns / r.forecasts } else { 0 };
         let shape = format!("c{n}");
         println!(
             "clients={n:<3} forecasts={:<6} p50={:>9} ns  p99={:>9} ns  {:>9} ns/forecast",
-            r.forecasts, s.p50_ns, s.p99_ns, rate_ns
+            r.forecasts,
+            nearest_rank(&r.latencies_ns, 0.50),
+            p99_ns,
+            rate_ns
         );
-        rows.push(BenchRow::from_summary("serve_latency", &shape, &s));
-        rows.push(BenchRow::scalar("serve_latency_p99", &shape, s.p99_ns, r.forecasts));
+        rows.push(BenchRow::from_sorted("serve_latency", &shape, &r.latencies_ns));
+        rows.push(BenchRow::scalar("serve_latency_p99", &shape, p99_ns, r.forecasts));
         rows.push(BenchRow::scalar("serve_rate", &shape, rate_ns, r.forecasts));
     }
 
     let name = if smoke { "BENCH_serve_smoke.json" } else { "BENCH_serve.json" };
     let path = out_dir.join(name);
-    write_bench_json(&path, &rows).expect("cannot write bench JSON");
+    let doc = bench_json(ts3_tensor::par::max_threads(), &rows);
+    std::fs::write(&path, doc.to_string_pretty()).expect("cannot write bench JSON");
     println!("serve_bench: wrote {}", path.display());
 }

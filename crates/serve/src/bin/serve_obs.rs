@@ -29,13 +29,10 @@
 //! Tracing is forced on (level 1) if `TS3_TRACE` did not already enable
 //! it; `TS3_THREADS` is honoured like every other workspace binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use ts3_baselines::{build_forecaster, BaselineConfig};
-use ts3_serve::{
-    run_online_sim, run_sim, write_exposition, write_flight_json, write_folded,
-    write_timeline_json, OnlineConfig, ServerConfig, SimConfig,
-};
+use ts3_serve::{run_online_sim, run_sim, OnlineConfig, ServerConfig, SimConfig};
 use ts3_tensor::Tensor;
 use ts3net_core::{CompiledPlan, ForecastModel, TS3NetConfig};
 
@@ -136,28 +133,25 @@ fn main() {
         online_report.pulses, online_report.forecasts, online_report.drift_alerts
     );
 
-    let timeline = out_dir.join("serve_obs.timeline.json");
-    write_timeline_json(&timeline).expect("cannot write timeline");
-    println!("serve_obs: wrote {}", timeline.display());
-
-    let prom = out_dir.join("serve_obs.prom");
-    write_exposition(&prom).expect("cannot write exposition");
-    println!("serve_obs: wrote {}", prom.display());
-
-    let folded = out_dir.join("serve_obs.folded");
-    write_folded(&folded).expect("cannot write folded stacks");
-    println!("serve_obs: wrote {}", folded.display());
+    let (spans, _, _) = ts3_obs::snapshot_records();
+    write(&out_dir, "serve_obs.timeline.json", ts3_obs::timeline_to_json().to_string_pretty());
+    write(&out_dir, "serve_obs.prom", ts3_obs::expo::render());
+    write(&out_dir, "serve_obs.folded", ts3_obs::folded_stacks(&spans));
 
     if !ts3_obs::flight::triggered() {
         eprintln!("serve_obs: stall did not trip the flight recorder's SLO trigger");
         std::process::exit(1);
     }
-    let flight = out_dir.join("serve_obs.flight.json");
-    match write_flight_json(&flight).expect("cannot write flight postmortem") {
-        Some(p) => println!("serve_obs: wrote {}", p.display()),
-        None => {
-            eprintln!("serve_obs: flight recorder armed but produced no postmortem");
-            std::process::exit(1);
-        }
-    }
+    let Some(postmortem) = ts3_obs::flight::to_json() else {
+        eprintln!("serve_obs: flight recorder armed but produced no postmortem");
+        std::process::exit(1);
+    };
+    write(&out_dir, "serve_obs.flight.json", postmortem.to_string_pretty());
+}
+
+/// Write one artifact under `dir` (panics if it cannot).
+fn write(dir: &Path, name: &str, text: String) {
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    println!("serve_obs: wrote {}", path.display());
 }

@@ -24,11 +24,6 @@
 //!   pulses feeding the warm plans through the same coalescer, with a
 //!   sliding-DFT period-drift monitor. Same determinism contract as
 //!   [`sim`].
-//! * [`report`] — nearest-rank latency percentiles, `ts3.bench.v1`
-//!   emission compatible with the `bench_compare` regression gate, and
-//!   the telemetry artifact writers (`ts3.timeline.v1` request
-//!   timelines, `ts3.flight.v1` postmortems, Prometheus text
-//!   exposition, folded stacks) used by the `serve_obs` binary.
 //!
 //! ## Observability
 //!
@@ -86,17 +81,12 @@
 pub mod clock;
 pub mod coalescer;
 pub mod online;
-pub mod report;
 pub mod server;
 pub mod sim;
 
 pub use clock::{Clock, VirtualClock};
 pub use coalescer::{Coalescer, CoalescerConfig, Pending};
 pub use online::{run_online_sim, OnlineConfig, OnlineReport};
-pub use report::{
-    summarize, write_bench_json, write_exposition, write_flight_json, write_folded,
-    write_timeline_json, BenchRow, LatencySummary,
-};
 pub use server::{
     ForecastRequest, ForecastResponse, ServeError, ServerConfig, ServerHandle, ServerStats,
     StepReport,

@@ -376,25 +376,27 @@ impl Executor {
         self.stats.batches += 1;
         self.stats.max_batch_size = self.stats.max_batch_size.max(n);
         ts3_obs::counter_add("serve.batches", 1);
-        let mut span = ts3_obs::span("serve.batch");
+        // The `serve.batch` span is the timeline batch: the stage spans
+        // inside the model's eager forward (run by `CompiledPlan::run`)
+        // file their execute segments into it, and it files the batch
+        // record under its own id when it closes.
+        let mut span = ts3_obs::begin_batch(tenant, now, n);
         if span.active() {
             span.field("tenant", tenant);
             span.field("size", n);
             span.field("model", plan.name().to_string());
         }
-        // Stack the windows into one [N, T, C] execution, timed as one
-        // timeline batch — the `stage_scope` seams inside the model's
-        // eager forward (run by `CompiledPlan::run`) file their per-stage
-        // execute segments into this scope.
+        let batch_id = span.id();
+        // Stack the windows into one [N, T, C] execution.
         let mut data = Vec::with_capacity(n * lookback * c_in);
         for p in &batch {
             data.extend_from_slice(p.payload.input.as_slice());
         }
         let stacked = Tensor::from_vec(data, &[n, lookback, c_in]);
-        let batch_guard = ts3_obs::begin_batch(tenant, now, n);
-        let batch_id = batch_guard.id();
         let outcome = plan.run(&stacked);
-        drop(batch_guard);
+        // Close the batch before any reply goes out, so a client holding
+        // its reply finds the batch in the trace and the timeline.
+        drop(span);
         for (i, p) in batch.into_iter().enumerate() {
             let Queued { deadline, ctx, reply, .. } = p.payload;
             let result = match &outcome {

@@ -9,6 +9,7 @@
 //! process-global obs registries and thread-cap state; tests serialise
 //! on a mutex because all of that state is shared.
 
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Mutex;
 use ts3_baselines::{build_forecaster, BaselineConfig};
@@ -172,6 +173,53 @@ fn timeline_digest_is_thread_cap_invariant() {
         digest_1.contains("b tenant=0 ") && digest_1.contains("b tenant=1 "),
         "both tenants must serve batches:\n{digest_1}"
     );
+}
+
+/// The timeline joins the trace (queue → batch → stage → kernel):
+/// every batch record is filed under the id of a `serve.batch` span
+/// whose duration is its total, each stage it lists is a span below that
+/// one with the same duration, and each flushed request names a filed
+/// batch.
+#[test]
+fn timeline_batches_are_serve_batch_spans() {
+    let _g = lock();
+    set_max_threads(1);
+    ts3_obs::set_level(1);
+    ts3_obs::reset();
+    let _ = run_online_sim(&online_cfg(), builder);
+    let (requests, batches, _) = ts3_obs::timeline_snapshot();
+    let (spans, _, dropped) = ts3_obs::snapshot_records();
+    ts3_obs::set_level(0);
+    ts3_obs::reset();
+
+    assert_eq!(dropped, 0, "the trace must be complete for the join");
+    assert!(!batches.is_empty(), "no batches filed");
+    let parent: HashMap<u64, Option<u64>> = spans.iter().map(|s| (s.id, s.parent)).collect();
+    let descends = |mut id: u64, root: u64| loop {
+        match parent.get(&id).copied().flatten() {
+            Some(p) if p == root => return true,
+            Some(p) => id = p,
+            None => return false,
+        }
+    };
+    for b in &batches {
+        let span = spans.iter().find(|s| s.id == b.id).expect("batch id names a span");
+        assert_eq!(span.name, "serve.batch");
+        assert_eq!(span.dur_ns, b.total_ns);
+        assert!(!b.stages.is_empty(), "batch {} lists no stages", b.id);
+        for &(label, dur_ns) in &b.stages {
+            assert!(
+                spans.iter().any(|s| s.name.ends_with(&format!(".{label}"))
+                    && s.dur_ns == dur_ns
+                    && descends(s.id, b.id)),
+                "stage {label} of batch {} is not a span below it",
+                b.id
+            );
+        }
+    }
+    for r in requests.iter().filter(|r| r.batch != 0) {
+        assert!(batches.iter().any(|b| b.id == r.batch), "request {} names no batch", r.id);
+    }
 }
 
 /// An injected outage long enough to strand every client past its

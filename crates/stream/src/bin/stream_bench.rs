@@ -28,8 +28,7 @@
 
 use std::path::PathBuf;
 use std::time::Instant;
-use ts3_json::Json;
-use ts3_obs::nearest_rank;
+use ts3_obs::{bench_json, BenchRow};
 use ts3_rng::rngs::StdRng;
 use ts3_rng::{Rng, SeedableRng};
 use ts3_signal::decompose::{triple_decompose, TripleConfig};
@@ -41,52 +40,6 @@ struct Case {
     channels: usize,
     /// Timed samples per path (plus warm-up).
     iters: usize,
-}
-
-struct Row {
-    op: String,
-    shape: String,
-    median_ns: u64,
-    p25_ns: u64,
-    p75_ns: u64,
-    min_ns: u64,
-    iters: u64,
-}
-
-fn summarize(op: &str, shape: &str, samples: &mut Vec<u64>) -> Row {
-    samples.sort_unstable();
-    Row {
-        op: op.to_string(),
-        shape: shape.to_string(),
-        median_ns: nearest_rank(samples, 0.50),
-        p25_ns: nearest_rank(samples, 0.25),
-        p75_ns: nearest_rank(samples, 0.75),
-        min_ns: samples[0],
-        iters: samples.len() as u64,
-    }
-}
-
-fn write_bench_json(path: &PathBuf, rows: &[Row]) {
-    let entries: Json = rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("op", Json::from(r.op.as_str())),
-                ("shape", Json::from(r.shape.as_str())),
-                ("median_ns", Json::Num(r.median_ns as f64)),
-                ("p25_ns", Json::Num(r.p25_ns as f64)),
-                ("p75_ns", Json::Num(r.p75_ns as f64)),
-                ("min_ns", Json::Num(r.min_ns as f64)),
-                ("iters", Json::Num(r.iters as f64)),
-            ])
-        })
-        .collect();
-    let doc = Json::obj([
-        ("schema", Json::from("ts3.bench.v1")),
-        ("threads", Json::Num(ts3_tensor::par::max_threads() as f64)),
-        ("entries", entries),
-    ]);
-    std::fs::write(path, doc.to_string_pretty()).expect("cannot write bench JSON");
 }
 
 /// Seeded sample row: a drifting two-tone mix plus noise, matching the
@@ -226,8 +179,10 @@ fn main() {
             assert_eq!(a.to_bits(), b.to_bits(), "{shape}: regular[{i}] diverged");
         }
 
-        let s_row = summarize("stream_push", &shape, &mut stream_ns);
-        let b_row = summarize("batch_window", &shape, &mut batch_ns);
+        stream_ns.sort_unstable();
+        batch_ns.sort_unstable();
+        let s_row = BenchRow::from_sorted("stream_push", &shape, &stream_ns);
+        let b_row = BenchRow::from_sorted("batch_window", &shape, &batch_ns);
         let ratio = b_row.median_ns as f64 / s_row.median_ns.max(1) as f64;
         println!(
             "{shape:<8} stream {:>9} ns/sample   batch {:>9} ns/sample   ratio {ratio:.1}x",
@@ -245,7 +200,8 @@ fn main() {
 
     let name = if smoke { "BENCH_stream_smoke.json" } else { "BENCH_stream.json" };
     let path = out_dir.join(name);
-    write_bench_json(&path, &rows);
+    let doc = bench_json(ts3_tensor::par::max_threads(), &rows);
+    std::fs::write(&path, doc.to_string_pretty()).expect("cannot write bench JSON");
     println!("stream_bench: wrote {}", path.display());
     if gate_failed {
         std::process::exit(1);

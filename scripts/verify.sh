@@ -31,15 +31,19 @@ echo "ok: dependency tree is ts3-* only"
 echo "== 5/11 observability smoke (every experiment, TS3_TRACE=1 manifests) =="
 # Every `ts3` experiment runs at smoke with tracing on; trace_check
 # parses each manifest with ts3-json and asserts its contents. table4
-# runs on one dataset and must carry epoch events and kernel spans.
+# runs on one dataset and must carry epoch events and kernel spans, and
+# its TS3Net forecast and TF-Block spans must be broken down by their
+# children (self-time at most 10% of total).
 for name in table2 table3 table5 table6 table7 table8 table9 fig3 fig4 fig5; do
   TS3_TRACE=1 ./target/release/ts3 "$name" --smoke > /dev/null 2>&1
   ./target/release/trace_check "results/${name}_smoke.trace.json"
 done
 TS3_TRACE=1 ./target/release/ts3 table4 --smoke ETTh1 > /dev/null 2>&1
 ./target/release/trace_check results/table4_smoke.trace.json \
-  --require-epoch --require-kernel-span
-echo "ok: all 11 experiments ran; trace manifests parse, table4 carries epoch events + kernel spans"
+  --require-epoch --require-kernel-span \
+  --require-coverage ts3net.forecast \
+  --require-coverage ts3net.block0 --require-coverage ts3net.block1
+echo "ok: all 11 experiments ran; trace manifests parse, table4 carries epoch events + kernel spans + a covered forecast"
 
 echo "== 6/11 kernel bench smoke + regression gate =="
 # Reduced kernel subset at a 40 ms budget against the committed smoke
