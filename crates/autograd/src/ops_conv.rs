@@ -3,8 +3,10 @@
 //! [`ts3_tensor::conv2d_backward`], which forms the input gradient as
 //! `Wᵀ · gy` folded back by the adjoint of `im2col` and the weight
 //! gradient as `gy · colsᵀ` against the recomputed column matrix.
+//! [`Var::conv2d_mean`] is the inception stage — the mean of parallel
+//! convolutions with their biases — as one tape node.
 
-use crate::var::Var;
+use crate::var::{reduce_grad_to_shape, Var};
 
 impl Var {
     /// 2-D convolution (stride 1): input `[B,Ci,H,W]`, weight
@@ -18,6 +20,78 @@ impl Var {
                 let (gx, gw) =
                     ts3_tensor::conv2d_backward(parents[0].value(), parents[1].value(), g, ph, pw);
                 vec![Some(gx), Some(gw)]
+            }),
+        )
+    }
+
+    /// `(1/n) · Σ_k (conv2d(x, W_k, pad_k) + b_k)` as one tape node, for
+    /// `n` `kernels` of `(weight [Co,Ci,KH,KW], bias [Co], (ph, pw))`
+    /// whose outputs share one shape.
+    ///
+    /// Bit-identical to the chain `conv2d` + `[Co,1,1]` bias `add`,
+    /// running `add`, `mul_scalar(1/n)`, for which it stands in: the
+    /// forward adds `(((c₀+b₀) + (c₁+b₁)) + …)` plane by plane and then
+    /// scales. The backward scales the cotangent once, reduces the bias
+    /// gradient once (shared by every bias) and runs
+    /// [`ts3_tensor::conv2d_backward`] per kernel. `x` is a parent once
+    /// per kernel, last kernel first, so the tape accumulates the input
+    /// gradient in the chain's order even when `x` has other consumers.
+    ///
+    /// # Panics
+    /// Panics if `kernels` is empty, a bias length is not `Co`, or the
+    /// outputs' shapes differ.
+    pub fn conv2d_mean(&self, kernels: &[(Var, Var, (usize, usize))]) -> Var {
+        assert!(!kernels.is_empty(), "conv2d_mean needs at least one kernel");
+        let n = kernels.len();
+        let scale = 1.0 / n as f32;
+        let conv = |(w, _, (ph, pw)): &(Var, Var, (usize, usize))| {
+            ts3_tensor::conv2d(self.value(), w.value(), *ph, *pw)
+        };
+        let mut value = conv(&kernels[0]);
+        let (co, plane) = (value.shape()[1], value.shape()[2] * value.shape()[3]);
+        let bias = |k: usize| {
+            let b = kernels[k].1.value().as_slice();
+            assert_eq!(b.len(), co, "conv2d_mean: bias length must equal Co");
+            b
+        };
+        // (c₀ + b₀), then `+ (c_k + b_k)` per further kernel, plane by plane.
+        let b0 = bias(0);
+        for (i, p) in value.as_mut_slice().chunks_exact_mut(plane).enumerate() {
+            let bv = b0[i % co];
+            p.iter_mut().for_each(|v| *v += bv);
+        }
+        for (k, kernel) in kernels.iter().enumerate().skip(1) {
+            let c = conv(kernel);
+            assert_eq!(c.shape(), value.shape(), "conv2d_mean: kernel outputs differ in shape");
+            let bk = bias(k);
+            let planes = value.as_mut_slice().chunks_exact_mut(plane);
+            for (i, (pa, pc)) in planes.zip(c.as_slice().chunks_exact(plane)).enumerate() {
+                let bv = bk[i % co];
+                pa.iter_mut().zip(pc).for_each(|(a, &c)| *a += c + bv);
+            }
+        }
+        value.as_mut_slice().iter_mut().for_each(|v| *v *= scale);
+
+        let pads: Vec<(usize, usize)> = kernels.iter().map(|k| k.2).collect();
+        let mut parents = vec![self.clone(); n];
+        parents.extend(kernels.iter().flat_map(|(w, b, _)| [w.clone(), b.clone()]));
+        Var::node(
+            value,
+            parents,
+            Box::new(move |g, parents| {
+                let gs = g.mul_scalar(scale);
+                let gb = reduce_grad_to_shape(&gs, &[co, 1, 1]).reshape(&[co]);
+                let x = parents[0].value();
+                let mut grads = vec![None; 3 * n];
+                for k in (0..n).rev() {
+                    let (ph, pw) = pads[k];
+                    let (gx, gw) =
+                        ts3_tensor::conv2d_backward(x, parents[n + 2 * k].value(), &gs, ph, pw);
+                    grads[n - 1 - k] = Some(gx);
+                    grads[n + 2 * k] = Some(gw);
+                    grads[n + 2 * k + 1] = Some(gb.clone());
+                }
+                grads
             }),
         )
     }
@@ -100,6 +174,79 @@ mod tests {
                 "idx {idx}: numeric {num} vs analytic {ana}"
             );
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The chain [`Var::conv2d_mean`] stands in for: per kernel a conv and
+    /// a `[Co,1,1]` bias add, then a running sum and the `1/n` scale.
+    fn unfused(x: &Var, kernels: &[(Var, Var, (usize, usize))]) -> Var {
+        let mut acc: Option<Var> = None;
+        for (w, b, (ph, pw)) in kernels {
+            let co = b.shape()[0];
+            let y = x.conv2d(w, *ph, *pw).add(&b.reshape(&[co, 1, 1]));
+            acc = Some(match acc {
+                Some(a) => a.add(&y),
+                None => y,
+            });
+        }
+        acc.unwrap().mul_scalar(1.0 / kernels.len() as f32)
+    }
+
+    /// One stage's output and its gradients (x, then each weight and
+    /// bias) as bits. `x` also feeds one op created before the stage and
+    /// one created after it, so its gradient slot is shared and the
+    /// order in which the tape adds into it shows in the bits.
+    fn stage_bits(fused: bool, shape: [usize; 4], ks: &[usize], seed: u64) -> Vec<Vec<u32>> {
+        let co = 4;
+        let x = leaf(Tensor::randn(&shape, seed));
+        let before = x.mul_scalar(0.7).square().sum();
+        let kernels: Vec<_> = ks
+            .iter()
+            .zip(seed..)
+            .map(|(&k, s)| {
+                (
+                    leaf(Tensor::randn(&[co, shape[1], k, k], s + 100)),
+                    leaf(Tensor::randn(&[co], s + 200)),
+                    (k / 2, k / 2),
+                )
+            })
+            .collect();
+        let y = if fused { x.conv2d_mean(&kernels) } else { unfused(&x, &kernels) };
+        let after = x.square().mul_scalar(1.3).sum();
+        let r = leaf(Tensor::randn(y.shape(), seed + 300));
+        y.mul(&r).sum().add(&before).add(&after).backward();
+        let mut out = vec![bits(y.value()), bits(&x.grad().unwrap())];
+        for (w, b, _) in &kernels {
+            out.push(bits(&w.grad().unwrap()));
+            out.push(bits(&b.grad().unwrap()));
+        }
+        out
+    }
+
+    #[test]
+    fn conv2d_mean_bitwise_equals_unfused_chain_sweep() {
+        let orig_threads = ts3_tensor::par::max_threads();
+        let mut seed = 1;
+        for threads in [1, 2] {
+            ts3_tensor::par::set_max_threads(threads);
+            for ks in [&[1, 3, 5][..], &[3], &[1, 5]] {
+                for b in [1, 3, 8] {
+                    for (h, w) in [(5, 7), (1, 9), (3, 1), (7, 11)] {
+                        seed += 1;
+                        let shape = [b, 3, h, w];
+                        assert_eq!(
+                            stage_bits(true, shape, ks, seed),
+                            stage_bits(false, shape, ks, seed),
+                            "threads {threads}, kernels {ks:?}, shape {shape:?}"
+                        );
+                    }
+                }
+            }
+        }
+        ts3_tensor::par::set_max_threads(orig_threads);
     }
 
     #[test]

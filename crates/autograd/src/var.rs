@@ -83,6 +83,10 @@ impl Var {
     /// with a hand-written adjoint, such as the wavelet transforms in
     /// `ts3net-core`.
     ///
+    /// A parent may be listed more than once: [`Var::backward`] adds its
+    /// cotangents into that parent's one gradient slot in list order, and
+    /// the first to reach an empty slot moves in.
+    ///
     /// Under a [`crate::NoGradGuard`] the node degenerates to a leaf —
     /// same value, no parents, no backward closure — and the upstream
     /// graph is released immediately.
@@ -209,23 +213,22 @@ impl Var {
 }
 
 /// Reduce `grad` (shaped like the broadcast output) back to `shape` by
-/// summing over broadcast axes — the adjoint of broadcasting.
+/// summing over broadcast axes — the adjoint of broadcasting. `grad`
+/// itself is copied only when no axis is summed.
 pub(crate) fn reduce_grad_to_shape(grad: &Tensor, shape: &[usize]) -> Tensor {
-    if grad.shape() == shape {
-        return grad.clone();
-    }
-    let mut g = grad.clone();
+    let mut reduced: Option<Tensor> = None;
     // Sum away leading axes that were added by broadcasting.
-    while g.rank() > shape.len() {
-        g = g.sum_axis(0);
+    while reduced.as_ref().unwrap_or(grad).rank() > shape.len() {
+        reduced = Some(reduced.as_ref().unwrap_or(grad).sum_axis(0));
     }
     // Sum (keepdim) over axes where the original had length 1.
-    #[allow(clippy::needless_range_loop)] // parallel index into g.shape()
-    for ax in 0..shape.len() {
-        if shape[ax] == 1 && g.shape()[ax] != 1 {
-            g = g.sum_axis_keepdim(ax);
+    for (ax, &len) in shape.iter().enumerate() {
+        let g = reduced.as_ref().unwrap_or(grad);
+        if len == 1 && g.shape()[ax] != 1 {
+            reduced = Some(g.sum_axis_keepdim(ax));
         }
     }
+    let g = reduced.unwrap_or_else(|| grad.clone());
     assert_eq!(g.shape(), shape, "reduce_grad_to_shape failed: {:?} -> {:?}", grad.shape(), shape);
     g
 }
@@ -287,6 +290,34 @@ mod tests {
         y.backward();
         // d/dx 9x^2 = 18x = 36.
         assert_eq!(x.grad().unwrap().as_slice(), &[36.0]);
+    }
+
+    #[test]
+    fn duplicate_parent_accumulates_in_parent_order() {
+        // One parent listed three times, with cotangents `big`, `1` and
+        // `-big`. In f32 (big + 1) - big is 0 but (big - big) + 1 is 1,
+        // so the result shows the order of the additions.
+        let big = 1e8f32;
+        let x = Var::constant(Tensor::from_vec(vec![0.0], &[1]));
+        let y = Var::node(
+            x.value().clone(),
+            vec![x.clone(), x.clone(), x.clone()],
+            Box::new(move |g, _| {
+                vec![Some(g.mul_scalar(big)), Some(g.clone()), Some(g.mul_scalar(-big))]
+            }),
+        );
+        y.backward();
+        assert_eq!(x.grad().unwrap().as_slice(), &[0.0]);
+
+        // The first contribution moves in rather than being added to a
+        // zero: a lone `-0.0` keeps its sign (`0.0 + -0.0` would not).
+        let z = Var::node(
+            x.value().clone(),
+            vec![x.clone(), x.clone()],
+            Box::new(|g, _| vec![Some(g.mul_scalar(-0.0)), Some(g.mul_scalar(-0.0))]),
+        );
+        z.backward();
+        assert_eq!(x.grad().unwrap().as_slice()[0].to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

@@ -10,7 +10,8 @@ use ts3_autograd::{Param, Var};
 
 /// Parallel same-padded 2-D convolutions with kernel sizes `{1, 3, 5}`
 /// whose outputs are averaged, followed by a GELU and a second multi-scale
-/// stage projecting back to the input width.
+/// stage projecting back to the input width. Each stage is one
+/// [`Var::conv2d_mean`] tape node.
 pub struct InceptionBlock {
     stage1: Vec<Conv2d>,
     stage2: Vec<Conv2d>,
@@ -32,26 +33,20 @@ impl InceptionBlock {
         }
     }
 
-    fn multi_scale(convs: &[Conv2d], x: &Var, ctx: &mut Ctx) -> Var {
-        let mut acc: Option<Var> = None;
-        for conv in convs {
-            let y = conv.forward(x, ctx);
-            acc = Some(match acc {
-                Some(a) => a.add(&y),
-                None => y,
-            });
-        }
-        // ts3-lint: allow(no-unwrap-in-lib) the kernel list is non-empty by construction, so the fold always produces a value
-        acc.expect("at least one kernel").mul_scalar(1.0 / convs.len() as f32)
+    /// The mean of the parallel convolutions, as one tape node.
+    fn multi_scale(convs: &[Conv2d], x: &Var) -> Var {
+        let kernels: Vec<_> =
+            convs.iter().map(|c| (c.weight.var(), c.bias.var(), c.pad)).collect();
+        x.conv2d_mean(&kernels)
     }
 }
 
 impl Module for InceptionBlock {
     fn forward(&self, x: &Var, ctx: &mut Ctx) -> Var {
         assert_eq!(x.shape().len(), 4, "InceptionBlock expects [B, C, H, W]");
-        let h = Self::multi_scale(&self.stage1, x, ctx);
+        let h = Self::multi_scale(&self.stage1, x);
         let h = Activation::Gelu.forward(&h, ctx);
-        Self::multi_scale(&self.stage2, &h, ctx)
+        Self::multi_scale(&self.stage2, &h)
     }
 
     fn params(&self) -> Vec<Param> {

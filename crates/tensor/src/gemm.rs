@@ -56,6 +56,9 @@ const KC: usize = 256;
 /// Columns of `B` packed per panel (`KC*NC` floats ~ 256 KiB in L2).
 const NC: usize = 256;
 
+/// Output columns whose dot-product chains [`gemm_naive`] interleaves.
+const DOT_COLS: usize = 8;
+
 /// Below this many multiply-adds (or for degenerate tile shapes) the
 /// packing overhead outweighs the register-tile win and the strided
 /// naive loop is used instead — bit-identical either way, so the
@@ -296,16 +299,32 @@ fn gemm_naive(a: MatRef, b: MatRef, out: &mut [f32], m: usize, k: usize, n: usiz
         }
     } else if a.cs == 1 && b.rs == 1 {
         // A rows and B columns are both contiguous: dot-product form.
+        // One output's chain is latency-bound, so DOT_COLS columns'
+        // chains run side by side, each still folding in ascending `p`.
         for i in 0..m {
             let a_row = &a.data[a.off + i * a.rs..][..k];
             let out_row = &mut out[i * n..(i + 1) * n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_col = &b.data[b.off + j * b.cs..][..k];
-                let mut acc = *o;
-                for (&av, &bv) in a_row.iter().zip(b_col) {
-                    acc = av.mul_add(bv, acc);
+            for (jb, o) in out_row.chunks_mut(DOT_COLS).enumerate() {
+                let mut acc = [0.0f32; DOT_COLS];
+                acc[..o.len()].copy_from_slice(o);
+                if o.len() == DOT_COLS {
+                    let base = b.off + jb * DOT_COLS * b.cs;
+                    let cols: [&[f32]; DOT_COLS] =
+                        std::array::from_fn(|j| &b.data[base + j * b.cs..][..k]);
+                    for (p, &av) in a_row.iter().enumerate() {
+                        for (acc_j, col) in acc.iter_mut().zip(&cols) {
+                            *acc_j = av.mul_add(col[p], *acc_j);
+                        }
+                    }
+                } else {
+                    for (j, acc_j) in acc.iter_mut().enumerate().take(o.len()) {
+                        let col = &b.data[b.off + (jb * DOT_COLS + j) * b.cs..][..k];
+                        for (&av, &bv) in a_row.iter().zip(col) {
+                            *acc_j = av.mul_add(bv, *acc_j);
+                        }
+                    }
                 }
-                *o = acc;
+                o.copy_from_slice(&acc[..o.len()]);
             }
         }
     } else {

@@ -718,7 +718,12 @@ mod tests {
 
     #[test]
     fn matmul_tb_matches_materialized_transpose() {
-        for (m, k, n) in [(1, 1, 1), (3, 5, 2), (17, 13, 19), (33, 65, 31), (64, 64, 64)] {
+        // Below NR columns the naive kernel's dot-product form runs up to
+        // DOT_COLS column chains side by side: cover every width around
+        // that block too.
+        let narrow = (1..=17).flat_map(|n| [(1, 7, n), (4, 300, n), (9, 64, n)]);
+        let shapes = [(1, 1, 1), (3, 5, 2), (17, 13, 19), (33, 65, 31), (64, 64, 64)];
+        for (m, k, n) in shapes.into_iter().chain(narrow) {
             let a = Tensor::randn(&[m, k], (m * 1000 + n) as u64);
             let b = Tensor::randn(&[n, k], (k * 777 + 5) as u64);
             let via_t = a.matmul(&b.transpose());

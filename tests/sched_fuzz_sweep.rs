@@ -12,10 +12,17 @@
 //! depends on scheduling — a shared accumulator, block-order
 //! dependence, or a data race.
 //!
+//! Taped steps are also pinned across commits: an FNV-1a hash of the
+//! baseline's TS3Net gradient bits, and of one unfuzzed TimesNet step's,
+//! must equal a committed constant, so a change that reorders the
+//! arithmetic of a layer either keeps the bits or has to re-pin them on
+//! purpose.
+//!
 //! Everything lives in one `#[test]` on purpose: the fuzz seed and the
 //! thread cap are process-global, so concurrent tests inside this
 //! binary would race on them.
 
+use ts3_baselines::{BaselineConfig, TimesNet};
 use ts3_nn::Ctx;
 use ts3_signal::fft::{fft, rfft_half};
 use ts3_signal::{triple_decompose, TripleConfig};
@@ -24,6 +31,11 @@ use ts3net_core::{ForecastModel, TS3Net, TS3NetConfig};
 
 const SEEDS: u64 = 16;
 const THREADS: [usize; 3] = [1, 2, 4];
+
+/// Pinned FNV-1a hashes of the taped-step gradient bits
+/// ([`taped_step_bits`]) of the tiny TS3Net and TimesNet below.
+const TS3NET_GRAD_HASH: u64 = 0x5abe_526a_4d7b_6c57;
+const TIMESNET_GRAD_HASH: u64 = 0xde6a_1b8f_59dc_5e7a;
 
 fn tiny_cfg(c: usize, lookback: usize, horizon: usize) -> TS3NetConfig {
     let mut cfg = TS3NetConfig::scaled(c, lookback, horizon);
@@ -41,8 +53,42 @@ fn series(n: usize, stride: usize) -> Vec<f32> {
         .collect()
 }
 
+fn tiny_timesnet() -> TimesNet {
+    let mut cfg = BaselineConfig::scaled(2, 32, 16);
+    cfg.dropout = 0.0;
+    TimesNet::new(&cfg, 42)
+}
+
+/// FNV-1a hash of f32 bit patterns (little-endian bytes).
+fn fnv1a(bits: &[u32]) -> u64 {
+    bits.iter().flat_map(|b| b.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One taped training step: MSE against a fixed target, backward, then
+/// every parameter gradient (conv, matmul and FFT adjoints) as bits.
+/// Batch 5 splits unevenly at 2 and 4 threads, so a reduction whose
+/// association followed the sample blocks would change bits here.
+fn taped_step_bits(model: &dyn ForecastModel, lookback: usize, c: usize) -> Vec<u32> {
+    let xb = Tensor::from_vec(series(5 * lookback * c, 19), &[5, lookback, c]);
+    let params = model.parameters();
+    for p in &params {
+        p.zero_grad();
+    }
+    let y = model.forecast(&xb, &mut Ctx::train(7));
+    let target = Tensor::from_vec(series(y.value().numel(), 17), y.shape());
+    y.mse_loss(&target).backward();
+    let mut bits = Vec::new();
+    for p in &params {
+        bits.extend(p.grad().as_slice().iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
 /// One full pipeline evaluation under the current (fuzz, threads)
-/// globals, flattened to bit patterns.
+/// globals, flattened to bit patterns; the taped step's gradient bits
+/// come last.
 fn evaluate(model: &TS3Net, x: &Tensor) -> Vec<u32> {
     let mut bits = Vec::new();
     let push = |bits: &mut Vec<u32>, vals: &[f32]| {
@@ -81,22 +127,7 @@ fn evaluate(model: &TS3Net, x: &Tensor) -> Vec<u32> {
     let mut ctx = Ctx::eval();
     push(&mut bits, model.forecast(x, &mut ctx).value().as_slice());
 
-    // One taped training step: MSE against a fixed target, backward,
-    // then every parameter gradient (conv, matmul and FFT adjoints).
-    // Batch 5 splits unevenly at 2 and 4 threads, so a reduction whose
-    // association followed the sample blocks would change bits here.
-    let (lookback, c) = (x.shape()[1], x.shape()[2]);
-    let xb = Tensor::from_vec(series(5 * lookback * c, 19), &[5, lookback, c]);
-    let params = model.parameters();
-    for p in &params {
-        p.zero_grad();
-    }
-    let y = model.forecast(&xb, &mut Ctx::train(7));
-    let target = Tensor::from_vec(series(y.value().numel(), 17), y.shape());
-    y.mse_loss(&target).backward();
-    for p in &params {
-        push(&mut bits, p.grad().as_slice());
-    }
+    bits.extend(taped_step_bits(model, x.shape()[1], x.shape()[2]));
     bits
 }
 
@@ -120,6 +151,15 @@ fn sixteen_fuzzed_schedules_are_bitwise_identical() {
     par::set_sched_fuzz(None);
     par::set_max_threads(1);
     let baseline = evaluate(&model, &x);
+
+    // The taped steps match the pinned bits.
+    let n_grads: usize = model.parameters().iter().map(|p| p.numel()).sum();
+    for (name, got, want) in [
+        ("TS3Net", fnv1a(&baseline[baseline.len() - n_grads..]), TS3NET_GRAD_HASH),
+        ("TimesNet", fnv1a(&taped_step_bits(&tiny_timesnet(), 32, 2)), TIMESNET_GRAD_HASH),
+    ] {
+        assert_eq!(got, want, "{name} taped-step gradient hash {got:#018x}, pinned {want:#018x}");
+    }
 
     let fuzzed_before = par::pool_stats().fuzzed_dispatches;
     for seed in 0..SEEDS {
