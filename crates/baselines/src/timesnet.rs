@@ -25,8 +25,7 @@ impl TimesBlock {
         let (b, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         // Period detection on the current features (mean over batch &
         // feature lanes), treated as a data-dependent constant.
-        let flat = x.value().permute(&[1, 0, 2]).reshape(&[t, b * d]);
-        let comps = topk_periods_multi(&flat, self.top_k);
+        let comps = topk_periods_multi(x.value(), self.top_k);
         let mut outs: Vec<Var> = Vec::new();
         let mut weights: Vec<f32> = Vec::new();
         for comp in &comps {

@@ -14,29 +14,8 @@ use std::rc::Rc;
 use ts3_autograd::{Param, Var};
 use ts3_nn::{Activation, Ctx, DataEmbedding, Mlp, Module};
 use ts3_signal::decompose::DEFAULT_TREND_KERNELS;
-use ts3_signal::{dominant_period, CwtPlan};
-use ts3_tensor::{moving_avg_same, Tensor};
-
-/// Compute the dominant period of a `[B, T, C]` batch by averaging FFT
-/// amplitudes over batch and channels (Eq. 2's top-1).
-pub fn batch_dominant_period(x: &Tensor) -> usize {
-    let (b, t, c) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    // View as [T, B*C]: permute batch/channel lanes into columns.
-    let flat = x.permute(&[1, 0, 2]).reshape(&[t, b * c]);
-    dominant_period(&flat)
-}
-
-/// Multi-kernel moving-average trend split on a `[B, T, C]` batch
-/// (Eq. 1), on plain tensors (the input is data, not a learned quantity).
-pub fn batch_trend_split(x: &Tensor, kernels: &[usize]) -> (Tensor, Tensor) {
-    let mut trend = Tensor::zeros(x.shape());
-    for &k in kernels {
-        trend.add_assign(&moving_avg_same(x, 1, k));
-    }
-    let trend = trend.div_scalar(kernels.len() as f32);
-    let seasonal = x.sub(&trend);
-    (trend, seasonal)
-}
+use ts3_signal::{dominant_period, trend_decompose, CwtPlan};
+use ts3_tensor::Tensor;
 
 /// The TS3Net model.
 pub struct TS3Net {
@@ -202,7 +181,7 @@ impl ForecastModel for TS3Net {
         // (1) Trend decomposition (Eq. 1).
         let (trend, seasonal) = {
             let _stage = ts3_obs::stage("ts3net.trend_split");
-            batch_trend_split(x, &DEFAULT_TREND_KERNELS)
+            trend_decompose(x, &DEFAULT_TREND_KERNELS)
         };
         // (2) Dominant sub-series length T_f (Eq. 2). Clamped to T/2: the
         // spectrum gradient needs u = T / T_f >= 2 sub-series to have any
@@ -211,7 +190,7 @@ impl ForecastModel for TS3Net {
             let _stage = ts3_obs::stage("ts3net.select_t_f");
             self.cfg
                 .t_f
-                .unwrap_or_else(|| batch_dominant_period(&seasonal))
+                .unwrap_or_else(|| dominant_period(&seasonal))
                 .clamp(2, (self.cfg.lookback / 2).max(2))
         };
         // (3) Seasonal branch through the S-GD / TF-Block stack.
@@ -305,13 +284,13 @@ mod tests {
             }
         }
         let x = Tensor::from_vec(data, &[2, t, 1]);
-        assert_eq!(batch_dominant_period(&x), 12);
+        assert_eq!(dominant_period(&x), 12);
     }
 
     #[test]
     fn batch_trend_split_is_exact() {
         let x = batch(2, 30, 2, 3);
-        let (trend, seasonal) = batch_trend_split(&x, &[13, 17]);
+        let (trend, seasonal) = trend_decompose(&x, &[13, 17]);
         assert!(trend.add(&seasonal).allclose(&x, 1e-4));
     }
 

@@ -13,7 +13,7 @@ use ts3_rng::SeedableRng;
 use std::rc::Rc;
 use ts3_autograd::{Param, Var};
 use ts3_nn::{Ctx, DataEmbedding, Module};
-use ts3_signal::CwtPlan;
+use ts3_signal::{dominant_period, CwtPlan};
 use ts3_tensor::Tensor;
 
 /// TS3Net imputer: embedding -> (S-GD + TF-Block) x N -> channel
@@ -86,7 +86,7 @@ impl ImputationModel for TS3NetImputer {
         let filled = ts3_nn::mean_fill(masked, mask);
         // Clamp to T/2 so the spectrum gradient has >= 2 chunks to
         // difference (see TS3Net::forecast).
-        let t_f = crate::forecaster::batch_dominant_period(&filled).clamp(2, (t / 2).max(2));
+        let t_f = dominant_period(&filled).clamp(2, (t / 2).max(2));
         let h0 = self.embed.forward(&Var::constant(filled.clone()), ctx);
         let mut h = h0;
         let mut fluct_sum: Option<Var> = None;

@@ -48,7 +48,7 @@ pub mod tf_block;
 pub mod traits;
 
 pub use config::{Ablation, TS3NetConfig};
-pub use forecaster::{batch_dominant_period, batch_trend_split, TS3Net};
+pub use forecaster::TS3Net;
 pub use heads::{Autoregression, PredictionHead, TimeLinear};
 pub use imputer::TS3NetImputer;
 pub use ops::{cwt_amplitude, iwt};

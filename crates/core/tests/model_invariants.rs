@@ -3,11 +3,11 @@
 //! sensitivity sanity.
 
 use ts3_nn::{Ctx, Module};
-use ts3_signal::CwtPlan;
+use ts3_signal::{dominant_period, CwtPlan};
 use ts3_signal::WaveletKind;
 use ts3_tensor::Tensor;
 use ts3net_core::{
-    batch_dominant_period, Ablation, ForecastModel, ImputationModel, SgdLayer, TS3Net,
+    Ablation, ForecastModel, ImputationModel, SgdLayer, TS3Net,
     TS3NetConfig, TS3NetImputer, TfBlock,
 };
 
@@ -120,7 +120,7 @@ fn tf_block_branches_use_distinct_wavelets() {
 #[test]
 fn dominant_period_sees_through_batch() {
     let x = wave_batch(3, 48, 2);
-    let p = batch_dominant_period(&x);
+    let p = dominant_period(&x);
     assert_eq!(p, 12);
 }
 

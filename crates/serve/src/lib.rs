@@ -12,10 +12,9 @@
 //! * [`server`] — one executor thread that owns every tenant's plan
 //!   (plans are `!Send`, so they are built *on* that thread), drains an
 //!   mpsc request queue, and executes due batches at each `step` tick.
-//!   All tenants share the process-wide FFT plan cache.
-//! * [`clock`] — virtual ticks. Library code never reads a wallclock
-//!   (enforced by `ts3-lint`); only the `serve_bench` binary, on the
-//!   lint allowlist, maps ticks to nanoseconds for measurement.
+//!   All tenants share the process-wide FFT plan cache. Holds and
+//!   deadlines are in ticks the caller supplies: library code never
+//!   reads a wallclock (enforced by `ts3-lint`).
 //! * [`sim`] — a deterministic single-threaded closed-loop load driver:
 //!   same seed in, bit-identical [`SimReport`] out,
 //!   regardless of worker-pool thread count.
@@ -78,13 +77,11 @@
 //! assert_eq!(stats.completed, 1);
 //! ```
 
-pub mod clock;
 pub mod coalescer;
 pub mod online;
 pub mod server;
 pub mod sim;
 
-pub use clock::{Clock, VirtualClock};
 pub use coalescer::{Coalescer, CoalescerConfig, Pending};
 pub use online::{run_online_sim, OnlineConfig, OnlineReport};
 pub use server::{

@@ -7,9 +7,9 @@
 //! autograd variables and is tested against these outputs.
 
 use crate::cwt::CwtPlan;
-use crate::spectrum::dominant_period;
+use crate::spectrum::{dominant_period, time_channels};
 use crate::wavelet::WaveletKind;
-use ts3_tensor::{moving_avg_same, Tensor};
+use ts3_tensor::{moving_avg_same_into, Tensor};
 
 /// Default moving-average kernel set for trend extraction, following the
 /// multi-scale pooling used by MICN/Autoformer-style decompositions.
@@ -18,24 +18,58 @@ pub const DEFAULT_TREND_KERNELS: [usize; 3] = [13, 17, 25];
 /// Trend decomposition (Eq. 1): `X = trend + seasonal`, where the trend is
 /// the mean of several replicate-padded moving averages.
 ///
-/// Input and outputs are `[T, C]`.
+/// Input and outputs are `[T, C]` or `[B, T, C]`: time is axis
+/// `rank - 2`. The tensor form of [`trend_seasonal_into`].
 pub fn trend_decompose(x: &Tensor, kernels: &[usize]) -> (Tensor, Tensor) {
-    assert_eq!(x.rank(), 2, "trend_decompose expects [T, C]");
+    let (t, c) = time_channels(x, "trend_decompose");
+    let mut trend = vec![0.0f32; x.numel()];
+    let mut seasonal = vec![0.0f32; x.numel()];
+    trend_seasonal_into(x.as_slice(), t, c, kernels, &mut Vec::new(), &mut trend, &mut seasonal);
+    (Tensor::from_vec(trend, x.shape()), Tensor::from_vec(seasonal, x.shape()))
+}
+
+/// Trend split (Eq. 1) of a row-major `[T, C]` or `[B, T, C]` slice `x`
+/// into `trend` and `seasonal` (same length): the one kernel behind
+/// [`trend_decompose`], the TS3Net forward and the streaming pulse.
+///
+/// The trend is the f32 sum of one [`moving_avg_same_into`] per kernel,
+/// in kernel order, divided by the kernel count; the seasonal part is
+/// `x - trend`. `scratch` holds one moving average and is resized as
+/// needed, so a caller that keeps it allocates nothing per call.
+pub fn trend_seasonal_into(
+    x: &[f32],
+    t: usize,
+    c: usize,
+    kernels: &[usize],
+    scratch: &mut Vec<f32>,
+    trend: &mut [f32],
+    seasonal: &mut [f32],
+) {
     assert!(!kernels.is_empty(), "trend_decompose needs at least one kernel");
+    assert_eq!(trend.len(), x.len(), "trend_decompose: trend length");
+    assert_eq!(seasonal.len(), x.len(), "trend_decompose: seasonal length");
     let mut _s = ts3_obs::span("signal.trend_decompose");
     if _s.active() {
-        _s.field("t", x.shape()[0]);
-        _s.field("c", x.shape()[1]);
+        _s.field("t", t);
+        _s.field("c", c);
         _s.field("kernels", kernels.len());
         ts3_obs::counter_add("signal.trend_decompose.calls", 1);
     }
-    let mut trend = Tensor::zeros_like(x);
+    scratch.resize(x.len(), 0.0);
+    trend.fill(0.0);
     for &k in kernels {
-        trend.add_assign(&moving_avg_same(x, 0, k));
+        moving_avg_same_into(x, t, c, k, scratch);
+        for (dst, &m) in trend.iter_mut().zip(scratch.iter()) {
+            *dst += m;
+        }
     }
-    let trend = trend.div_scalar(kernels.len() as f32);
-    let seasonal = x.sub(&trend);
-    (trend, seasonal)
+    let n = kernels.len() as f32;
+    for v in trend.iter_mut() {
+        *v /= n;
+    }
+    for ((s, &v), &tr) in seasonal.iter_mut().zip(x).zip(trend.iter()) {
+        *s = v - tr;
+    }
 }
 
 /// The spectrum gradient of a `[lambda, T]` TF grid (Eq. 9): the grid is

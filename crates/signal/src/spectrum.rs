@@ -21,35 +21,63 @@ pub fn topk_periods(x: &[f32], k: usize) -> Vec<PeriodComponent> {
     topk_periods_multi(&Tensor::from_vec(x.to_vec(), &[x.len(), 1]), k)
 }
 
-/// Accumulate one channel's amplitude spectrum into a channel-mean
-/// periodogram: `mean_amp[f] += |rfft(col)[f]| / c`.
+/// `(T, C)` of a `[T, C]` or `[B, T, C]` series: time is axis
+/// `rank - 2`, and a rank-3 batch contributes `B·C` lanes in b-major
+/// order (the columns of its `[T, B·C]` permute).
+pub(crate) fn time_channels(x: &Tensor, op: &str) -> (usize, usize) {
+    let r = x.rank();
+    assert!(r == 2 || r == 3, "{op} expects [T, C] or [B, T, C], got rank {r}");
+    (x.shape()[r - 2], x.shape()[r - 1])
+}
+
+/// Channel-mean amplitude spectrum (Eq. 2) of a row-major `[T, C]` or
+/// `[B, T, C]` slice `x`, written into `mean_amp` (bins `0..=T/2`): the
+/// one periodogram kernel behind [`mean_amplitude_spectrum`],
+/// [`dominant_period`], [`topk_periods_multi`] and the streaming pulse.
 ///
-/// Shared by the batch tensor path and the streaming crate so both
-/// compute the mean periodogram with the *same* arithmetic in the same
-/// order — a prerequisite for the bitwise batch/stream equivalence
-/// contract. `mean_amp` must have `col.len() / 2 + 1` entries and the
-/// caller accumulates channels in ascending order.
-pub fn accumulate_channel_amplitude(col: &[f32], c: usize, mean_amp: &mut [f32]) {
-    let half = col.len() / 2;
-    assert_eq!(mean_amp.len(), half + 1, "periodogram length mismatch");
-    // Only bins 0..=T/2 are consumed, so the packed half-spectrum
-    // transform suffices — half the FFT work of the former full rfft.
-    let spec = rfft_half(col);
-    for (f, dst) in mean_amp.iter_mut().enumerate().take(half + 1) {
-        *dst += spec[f].abs() / c as f32;
+/// Every (batch, channel) lane is copied into `col` (length `T`) and
+/// `mean_amp[f] += |rfft(col)[f]| / lanes` runs in b-major lane order —
+/// so a batch gives the bits of its `[T, B·C]` permute. Only bins
+/// `0..=T/2` are read, so the packed half-spectrum transform suffices.
+pub fn mean_amplitude_spectrum_into(
+    x: &[f32],
+    t: usize,
+    c: usize,
+    col: &mut [f32],
+    mean_amp: &mut [f32],
+) {
+    assert_eq!(col.len(), t, "periodogram: column scratch length");
+    assert_eq!(mean_amp.len(), t / 2 + 1, "periodogram length mismatch");
+    let mut _s = ts3_obs::span("signal.periodogram");
+    if _s.active() {
+        _s.field("t", t);
+        _s.field("c", c);
+        ts3_obs::counter_add("signal.periodogram.calls", 1);
+    }
+    mean_amp.fill(0.0);
+    if t * c == 0 {
+        return;
+    }
+    assert_eq!(x.len() % (t * c), 0, "periodogram: length is not a multiple of T * C");
+    let lanes = x.len() / t;
+    for block in x.chunks_exact(t * c) {
+        for ch in 0..c {
+            for (i, v) in col.iter_mut().enumerate() {
+                *v = block[i * c + ch];
+            }
+            for (dst, z) in mean_amp.iter_mut().zip(&rfft_half(col)) {
+                *dst += z.abs() / lanes as f32;
+            }
+        }
     }
 }
 
-/// Channel-mean amplitude spectrum of a `[T, C]` series: bins `0..=T/2`.
+/// Channel-mean amplitude spectrum of a `[T, C]` or `[B, T, C]` series:
+/// bins `0..=T/2`.
 pub fn mean_amplitude_spectrum(x: &Tensor) -> Vec<f32> {
-    assert_eq!(x.rank(), 2, "mean_amplitude_spectrum expects [T, C]");
-    let (t, c) = (x.shape()[0], x.shape()[1]);
-    let half = t / 2;
-    let mut mean_amp = vec![0.0f32; half + 1];
-    for ch in 0..c {
-        let col: Vec<f32> = (0..t).map(|i| x.at(&[i, ch])).collect();
-        accumulate_channel_amplitude(&col, c, &mut mean_amp);
-    }
+    let (t, c) = time_channels(x, "mean_amplitude_spectrum");
+    let mut mean_amp = vec![0.0f32; t / 2 + 1];
+    mean_amplitude_spectrum_into(x.as_slice(), t, c, &mut vec![0.0; t], &mut mean_amp);
     mean_amp
 }
 
@@ -83,13 +111,12 @@ pub fn topk_periods_from_spectrum(mean_amp: &[f32], t: usize, k: usize) -> Vec<P
         .collect()
 }
 
-/// Top-k dominant periods of a multivariate `[T, C]` series; amplitudes
-/// are averaged across channels (the TimesNet convention the paper
-/// follows). Tie-breaking is documented on
-/// [`topk_periods_from_spectrum`].
+/// Top-k dominant periods of a multivariate `[T, C]` or `[B, T, C]`
+/// series; amplitudes are averaged across channels and batch rows (the
+/// TimesNet convention the paper follows). Tie-breaking is documented
+/// on [`topk_periods_from_spectrum`].
 pub fn topk_periods_multi(x: &Tensor, k: usize) -> Vec<PeriodComponent> {
-    assert_eq!(x.rank(), 2, "topk_periods_multi expects [T, C]");
-    let t = x.shape()[0];
+    let (t, _) = time_channels(x, "topk_periods_multi");
     assert!(t >= 4, "series too short for period detection");
     topk_periods_from_spectrum(&mean_amplitude_spectrum(x), t, k)
 }
@@ -105,11 +132,11 @@ pub fn dominant_period_from_spectrum(mean_amp: &[f32], t: usize) -> usize {
     }
 }
 
-/// The single dominant period (`p_1` / the paper's `T_f`), falling back to
-/// `t/2` if the spectrum is degenerate (e.g. all-zero input).
+/// The single dominant period (`p_1` / the paper's `T_f`) of a `[T, C]`
+/// or `[B, T, C]` series, falling back to `t/2` if the spectrum is
+/// degenerate (e.g. all-zero input).
 pub fn dominant_period(x: &Tensor) -> usize {
-    assert_eq!(x.rank(), 2, "dominant_period expects [T, C]");
-    let t = x.shape()[0];
+    let (t, _) = time_channels(x, "dominant_period");
     assert!(t >= 4, "series too short for period detection");
     dominant_period_from_spectrum(&mean_amplitude_spectrum(x), t)
 }

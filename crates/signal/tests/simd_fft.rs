@@ -9,15 +9,11 @@
 //! One `#[test]` owns the process-global dispatch toggle.
 
 use ts3_signal::complex::Complex32;
-use ts3_signal::fft::{convolve_real, fft, ifft, rfft_half};
+use ts3_signal::fft::{fft, ifft, rfft_half};
 use ts3_tensor::simd::{avx2_active, set_simd_enabled};
 
 fn cbits(v: &[Complex32]) -> Vec<(u32, u32)> {
     v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-}
-
-fn fbits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|f| f.to_bits()).collect()
 }
 
 #[test]
@@ -44,7 +40,7 @@ fn fft_simd_and_scalar_are_bitwise_identical() {
         assert_eq!(cbits(&fwd_scalar), cbits(&fwd_simd), "fft diverged at n={n}");
         assert_eq!(cbits(&inv_scalar), cbits(&inv_simd), "ifft diverged at n={n}");
     }
-    // Real-input entry points (packed rfft + its convolution consumer).
+    // The packed real-input entry point.
     for n in [4usize, 16, 96, 256, 1024] {
         let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.41).sin() + 0.02 * i as f32).collect();
         set_simd_enabled(false);
@@ -53,12 +49,5 @@ fn fft_simd_and_scalar_are_bitwise_identical() {
         let half_simd = rfft_half(&x);
         assert_eq!(cbits(&half_scalar), cbits(&half_simd), "rfft_half diverged at n={n}");
     }
-    let a: Vec<f32> = (0..96).map(|i| (i as f32 * 0.23).cos()).collect();
-    let b: Vec<f32> = (0..24).map(|i| (i as f32 * 0.57).sin()).collect();
-    set_simd_enabled(false);
-    let conv_scalar = convolve_real(&a, &b);
-    set_simd_enabled(true);
-    let conv_simd = convolve_real(&a, &b);
-    assert_eq!(fbits(&conv_scalar), fbits(&conv_simd), "convolve_real diverged");
     set_simd_enabled(true);
 }

@@ -8,8 +8,6 @@
 //!
 //! * [`ring`] — fixed-capacity `[T, C]` ring buffer; O(C) push, no
 //!   allocation in steady state;
-//! * [`trend`] — rolling-sum trend split on a flat window, bitwise
-//!   equal to `ts3_signal::trend_decompose`;
 //! * [`sdft`] — sliding-DFT periodogram monitor feeding the batch
 //!   top-k period selection, exact at resync ticks;
 //! * [`pulse`] — [`PulsedTriple`]: `push(sample) -> Option<emit>` where
@@ -18,11 +16,12 @@
 //!   (asserted by `tests/pulse_equivalence.rs` across windows, kernel
 //!   sets, lambda, channel counts, `T_f` modes and thread caps).
 //!
-//! The speedup over recompute-from-scratch comes from hoisting the
-//! per-call CWT plan construction (wavelet sampling, filter FFTs,
-//! inverse calibration), eliminating tensor packaging, and O(C)
-//! window maintenance; `stream_bench` measures and `scripts/verify.sh`
-//! gates it.
+//! The trend split and the periodogram are `ts3-signal`'s own slice
+//! kernels, called on reused scratch. The speedup over
+//! recompute-from-scratch comes from hoisting the per-call CWT plan
+//! construction (wavelet sampling, filter FFTs, inverse calibration),
+//! eliminating tensor packaging, and O(C) window maintenance;
+//! `stream_bench` measures and `scripts/verify.sh` gates it.
 //!
 //! ```
 //! use ts3_stream::{PulsedTriple, StreamConfig};
@@ -44,9 +43,7 @@
 pub mod pulse;
 pub mod ring;
 pub mod sdft;
-pub mod trend;
 
 pub use pulse::{PulsedTriple, StreamConfig, StreamDecomposition};
 pub use ring::RingWindow;
 pub use sdft::SlidingDft;
-pub use trend::{moving_avg_same_into, trend_seasonal_into};

@@ -17,9 +17,21 @@
 //!   byte-identical across plan instances);
 //! * window assembly is an O(C) ring push plus two `memcpy`s instead of
 //!   per-element tensor reads/writes;
-//! * trend/seasonal/gradient land in reused scratch buffers — no tensor
-//!   or padding allocation per pulse (see `trend.rs` for why the trend
-//!   is replayed rather than carried across pushes).
+//! * the trend split (Eq. 1) and the periodogram (Eq. 2) are the batch
+//!   path's own slice kernels, `ts3_signal::trend_seasonal_into` and
+//!   `ts3_signal::mean_amplitude_spectrum_into`; they and the spectrum
+//!   gradient write into reused scratch buffers — no tensor allocation
+//!   per pulse.
+//!
+//! The trend is replayed over the whole window on every pulse rather
+//! than carried across pushes: the replicate padding repeats the
+//! window's *current* edge rows, so when the window slides every lane
+//! near both edges changes, and each lane's running `f64` sum starts at
+//! the window's first sample. No per-sample state reproduces those bits.
+//!
+//! Each pulse opens a `stream.pulse` span with three children:
+//! `signal.trend_decompose`, `signal.periodogram` (only when `T_f` is
+//! detected) and `stream.sgd`, the per-channel S-GD loop (Eq. 8–10).
 //!
 //! Per push the bookkeeping is O(C); the decomposition work itself runs
 //! once per `hop` pushes, so the amortized per-sample cost is
@@ -28,10 +40,9 @@
 //! `hop = 1`.
 
 use crate::ring::RingWindow;
-use crate::trend::trend_seasonal_into;
 use ts3_signal::cwt::CwtPlan;
-use ts3_signal::decompose::{spectrum_gradient_rows, TripleConfig};
-use ts3_signal::spectrum::{accumulate_channel_amplitude, dominant_period_from_spectrum};
+use ts3_signal::decompose::{spectrum_gradient_rows, trend_seasonal_into, TripleConfig};
+use ts3_signal::spectrum::{dominant_period_from_spectrum, mean_amplitude_spectrum_into};
 use ts3_tensor::Tensor;
 
 /// Configuration of a [`PulsedTriple`] stream operator.
@@ -181,10 +192,10 @@ impl PulsedTriple {
         Some(self.pulse())
     }
 
-    /// Decompose the current trailing window. Mirrors the batch
-    /// `triple_decompose` step for step; see the module docs for why
-    /// this replay is both bitwise-exact and cheaper than the batch
-    /// call.
+    /// Decompose the current trailing window: the batch kernels for
+    /// Eq. 1 and Eq. 2, then `triple_decompose`'s per-channel S-GD step
+    /// replayed on the warm plan; see the module docs for why this is
+    /// both bitwise-exact and cheaper than the batch call.
     fn pulse(&mut self) -> StreamDecomposition {
         let (t, c) = (self.cfg.window, self.cfg.channels);
         let lambda = self.cfg.triple.lambda;
@@ -196,7 +207,7 @@ impl PulsedTriple {
             ts3_obs::counter_add("stream.pulse.calls", 1);
         }
         self.ring.copy_into(&mut self.win);
-        // Eq. 1: trend split, replayed bitwise (see trend.rs).
+        // Eq. 1: the batch trend kernel on the window.
         trend_seasonal_into(
             &self.win,
             t,
@@ -206,23 +217,24 @@ impl PulsedTriple {
             &mut self.trend_buf,
             &mut self.seasonal_buf,
         );
-        // Eq. 2: T_f from the seasonal periodogram, exactly as batch
-        // (`dominant_period` is `dominant_period_from_spectrum` over the
-        // channel-mean rfft amplitudes, then the same clamp).
+        // Eq. 2: T_f from the batch periodogram kernel on the seasonal
+        // part (`dominant_period` is `dominant_period_from_spectrum`
+        // over it, then the same clamp).
         let t_f = match self.cfg.triple.t_f {
             Some(v) => v.clamp(2, t),
             None => {
-                self.mean_amp.fill(0.0);
-                for ch in 0..c {
-                    for i in 0..t {
-                        self.col[i] = self.seasonal_buf[i * c + ch];
-                    }
-                    accumulate_channel_amplitude(&self.col, c, &mut self.mean_amp);
-                }
+                mean_amplitude_spectrum_into(
+                    &self.seasonal_buf,
+                    t,
+                    c,
+                    &mut self.col,
+                    &mut self.mean_amp,
+                );
                 dominant_period_from_spectrum(&self.mean_amp, t).clamp(2, t)
             }
         };
         // Eq. 8–10 per channel on the warm plan, exactly `sgd_channel`.
+        let sgd = ts3_obs::span("stream.sgd");
         let mut regular = vec![0.0; t * c];
         let mut fluct_1d = vec![0.0; t * c];
         let mut fluct_2d = vec![0.0; lambda * t * c];
@@ -245,6 +257,7 @@ impl PulsedTriple {
                 regular[i * c + ch] = self.col[i] - delta_1d[i];
             }
         }
+        drop(sgd);
         StreamDecomposition {
             window: self.win.clone(),
             trend: self.trend_buf.clone(),

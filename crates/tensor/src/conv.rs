@@ -311,40 +311,55 @@ pub fn conv1d(input: &Tensor, weight: &Tensor, pad: usize) -> Tensor {
 
 /// Moving-average along `axis` with window `k`, producing the **same
 /// length** via replicate padding — this is exactly the paper's
-/// `AvgPool(Padding(X))` trend extractor (Eq. 1).
+/// `AvgPool(Padding(X))` trend extractor (Eq. 1). The tensor form of
+/// [`moving_avg_same_into`].
 pub fn moving_avg_same(input: &Tensor, axis: usize, k: usize) -> Tensor {
+    assert!(axis < input.rank(), "moving_avg_same: axis out of range");
+    let n = input.shape()[axis];
+    let inner: usize = input.shape()[axis + 1..].iter().product();
+    let mut out = vec![0.0f32; input.numel()];
+    moving_avg_same_into(input.as_slice(), n, inner, k, &mut out);
+    Tensor::from_vec(out, input.shape())
+}
+
+/// Replicate-padded moving average of a row-major `[outer, n, inner]`
+/// slice along its middle axis (`outer` follows from `src.len()`),
+/// written into `out` of the same length.
+///
+/// Padded row `p` of the `n + k - 1` long padded axis is source row
+/// `clamp(p - (k-1)/2, 0, n-1)`, read in place: no padded copy is
+/// built. Each lane folds one running `f64` sum (add the entering row,
+/// subtract the leaving one) and writes `(sum / k) as f32`, so every
+/// caller — batch trend split, streaming pulse, baselines — gets the
+/// same bits for the same lane.
+pub fn moving_avg_same_into(src: &[f32], n: usize, inner: usize, k: usize, out: &mut [f32]) {
     assert!(k >= 1, "moving_avg_same: window must be >= 1");
+    assert_eq!(out.len(), src.len(), "moving_avg_same: out length");
     if k == 1 {
-        return input.clone();
+        out.copy_from_slice(src);
+        return;
     }
+    assert!(n >= 1, "moving_avg_same: cannot pad an empty axis");
+    if src.is_empty() {
+        return;
+    }
+    assert_eq!(src.len() % (n * inner), 0, "moving_avg_same: length is not a multiple of n * inner");
     let before = (k - 1) / 2;
-    let after = k - 1 - before;
-    let padded = input.pad_axis_replicate(axis, before, after);
-    // Prefix-sum based windowed mean along `axis`.
-    let outer: usize = padded.shape()[..axis].iter().product();
-    let n = padded.shape()[axis];
-    let inner: usize = padded.shape()[axis + 1..].iter().product();
-    let out_n = n + 1 - k;
-    let mut out = vec![0.0f32; outer * out_n * inner];
-    let src = padded.as_slice();
-    for o in 0..outer {
+    let row = |p: usize| p.saturating_sub(before).min(n - 1);
+    for (src, out) in src.chunks_exact(n * inner).zip(out.chunks_exact_mut(n * inner)) {
         for i in 0..inner {
             let mut acc = 0.0f64;
-            for t in 0..k {
-                acc += src[(o * n + t) * inner + i] as f64;
+            for p in 0..k {
+                acc += src[row(p) * inner + i] as f64;
             }
-            out[o * out_n * inner + i] = (acc / k as f64) as f32;
-            for t in 1..out_n {
-                acc += src[(o * n + t + k - 1) * inner + i] as f64;
-                acc -= src[(o * n + t - 1) * inner + i] as f64;
-                out[(o * out_n + t) * inner + i] = (acc / k as f64) as f32;
+            out[i] = (acc / k as f64) as f32;
+            for t in 1..n {
+                acc += src[row(t + k - 1) * inner + i] as f64;
+                acc -= src[row(t - 1) * inner + i] as f64;
+                out[t * inner + i] = (acc / k as f64) as f32;
             }
         }
     }
-    let mut shape = input.shape().to_vec();
-    shape[axis] = out_n;
-    debug_assert_eq!(out_n, input.shape()[axis]);
-    Tensor::from_vec(out, &shape)
 }
 
 /// Average-pool along `axis` with non-overlapping windows of size `k`
@@ -642,6 +657,67 @@ mod tests {
     fn moving_avg_window_one_is_identity() {
         let x = Tensor::from_vec(vec![5.0, -2.0, 7.0], &[3, 1]);
         assert_eq!(moving_avg_same(&x, 0, 1), x);
+    }
+
+    /// The padded moving average `moving_avg_same` used to run: build the
+    /// replicate-padded tensor, then slide one `f64` sum over it. Oracle
+    /// for the in-place clamped reads of `moving_avg_same_into`.
+    fn moving_avg_padded(input: &Tensor, axis: usize, k: usize) -> Tensor {
+        if k == 1 {
+            return input.clone();
+        }
+        let before = (k - 1) / 2;
+        let padded = input.pad_axis_replicate(axis, before, k - 1 - before);
+        let outer: usize = padded.shape()[..axis].iter().product();
+        let n = padded.shape()[axis];
+        let inner: usize = padded.shape()[axis + 1..].iter().product();
+        let out_n = n + 1 - k;
+        let mut out = vec![0.0f32; outer * out_n * inner];
+        let src = padded.as_slice();
+        for o in 0..outer {
+            for i in 0..inner {
+                let mut acc = 0.0f64;
+                for t in 0..k {
+                    acc += src[(o * n + t) * inner + i] as f64;
+                }
+                out[o * out_n * inner + i] = (acc / k as f64) as f32;
+                for t in 1..out_n {
+                    acc += src[(o * n + t + k - 1) * inner + i] as f64;
+                    acc -= src[(o * n + t - 1) * inner + i] as f64;
+                    out[(o * out_n + t) * inner + i] = (acc / k as f64) as f32;
+                }
+            }
+        }
+        Tensor::from_vec(out, input.shape())
+    }
+
+    #[test]
+    fn moving_avg_matches_padded_oracle_bitwise() {
+        use ts3_rng::rngs::StdRng;
+        use ts3_rng::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(19);
+        // Lengths below, at and above the kernel, rank 2 on axis 0 and
+        // rank 3 with B in {1, 3} on axis 1.
+        for t in [1usize, 2, 5, 12, 33, 96] {
+            for (shape, axis) in [(vec![t, 2], 0), (vec![1, t, 2], 1), (vec![3, t, 2], 1)] {
+                let numel: usize = shape.iter().product();
+                let mut spike = vec![0.0f32; numel];
+                spike[numel / 2] = 1.0e3;
+                let noise: Vec<f32> = (0..numel).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+                for data in [vec![2.5f32; numel], vec![0.0; numel], spike, noise] {
+                    let x = Tensor::from_vec(data, &shape);
+                    for k in [1usize, 2, 4, 13, 25, 97] {
+                        let got = moving_avg_same(&x, axis, k);
+                        let want = moving_avg_padded(&x, axis, k);
+                        assert_eq!(got.shape(), want.shape());
+                        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                            assert!(a.is_finite(), "{shape:?} k={k} idx={i}: {a}");
+                            assert_eq!(a.to_bits(), b.to_bits(), "{shape:?} k={k} idx={i}: {a} vs {b}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

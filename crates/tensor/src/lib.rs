@@ -45,7 +45,9 @@ pub mod shape;
 pub mod simd;
 mod tensor;
 
-pub use conv::{avg_pool_axis, conv1d, conv2d, conv2d_backward, im2col_into, moving_avg_same};
+pub use conv::{
+    avg_pool_axis, conv1d, conv2d, conv2d_backward, im2col_into, moving_avg_same, moving_avg_same_into,
+};
 pub use error::TensorError;
 pub use shape::{broadcast_shapes, strides_for, Shape};
 pub use tensor::Tensor;

@@ -170,9 +170,11 @@ impl Tensor {
         Tensor { data, shape }
     }
 
-    /// Replicate-pad `axis` (edge values repeated), as used by the paper's
-    /// trend decomposition `AvgPool(Padding(X))`.
-    pub fn pad_axis_replicate(&self, axis: usize, before: usize, after: usize) -> Tensor {
+    /// Replicate-pad `axis` (edge values repeated): the padded tensor of
+    /// the paper's `AvgPool(Padding(X))`, kept for the test oracle that
+    /// pins `moving_avg_same`.
+    #[cfg(test)]
+    pub(crate) fn pad_axis_replicate(&self, axis: usize, before: usize, after: usize) -> Tensor {
         assert!(axis < self.rank(), "pad_axis_replicate: axis out of range");
         assert!(self.shape[axis] > 0, "pad_axis_replicate: cannot pad empty axis");
         let first = self.index_axis(axis, 0).unsqueeze(axis);

@@ -149,3 +149,8 @@ echo "== 11/11 lint report schema + schedule-fuzz race harness =="
 TS3_SCHED_FUZZ=7 cargo test -q --offline --test sched_fuzz_sweep
 
 echo "verify: all gates passed"
+
+# Workspace Rust LoC: `.rs` lines under crates/ src/ tests/ examples/,
+# the one count each change reports its delta against.
+echo "workspace Rust LoC: $(find crates src tests examples -name '*.rs' -not -path '*/target/*' \
+  -print0 | xargs -0 cat | wc -l)"

@@ -89,7 +89,7 @@ fn decomposition_feeds_model_consistently() {
         &TripleConfig { lambda: 4, ..Default::default() },
     );
     let xb = x.reshape(&[1, 32, task.channels()]);
-    let (trend, seasonal) = ts3net_core::batch_trend_split(
+    let (trend, seasonal) = ts3_signal::trend_decompose(
         &xb,
         &ts3_signal::decompose::DEFAULT_TREND_KERNELS,
     );
