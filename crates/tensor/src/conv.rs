@@ -123,6 +123,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
             "tensor.conv2d.bytes",
             (4 * (input.numel() + weight.numel() + b * cout * oh * ow)) as u64,
         );
+        crate::gemm::count_short_m(&[(cout, cin * kh * kw, oh * ow)]);
     }
     let wmat = weight.reshape(&[cout, cin * kh * kw]);
     let sample = cout * oh * ow;
@@ -202,8 +203,12 @@ fn col2im_add(
 /// Per sample, the input is unfolded into the forward's column scratch
 /// and the weight partial `gy · colsᵀ` is formed; the same scratch then
 /// receives `Wᵀ · gy`, which is folded into the sample's slice of `gx`.
-/// Both products run the packed GEMM over strided views, so no
+/// Both products run the crate's GEMM over strided views, so no
 /// transpose is materialised and no per-sample buffer is allocated.
+/// With AVX2 active, `gy · colsᵀ` (`C_out` rows) takes the short-M
+/// kernel for 4 ≤ `C_out` ≤ 8, reading `colsᵀ` in place; `Wᵀ · gy`
+/// (`C_in·kh·kw` rows) takes it only when that is 4..=8 (k = 1) and
+/// otherwise runs the packed tile. Either way the bits are the same.
 /// Samples are split across [`crate::par`] like the forward. Each
 /// sample writes its weight partial to its own row, and the partials
 /// are summed serially in sample order, so `gx` and `gw` are
@@ -250,6 +255,7 @@ pub fn conv2d_backward(
         _span.field("flops", flops);
         ts3_obs::counter_add("tensor.conv2d_backward.calls", 1);
         ts3_obs::counter_add("tensor.conv2d_backward.flops", flops as u64);
+        crate::gemm::count_short_m(&[(cout, p, k), (k, cout, p)]);
     }
     // One row per sample: its `gx` slice, then its weight partial.
     let in_sample = cin * h * w;
@@ -489,9 +495,14 @@ mod tests {
         // comes first so every later call reuses a longer, stale column
         // scratch; the sweep covers k in {1,2,3,5}, ph != pw, B = 1,
         // Ci != Co and kw > w + pw (kernel columns that read only
-        // padding).
+        // padding), and Co in {5, 8, 9} around the short-M kernel's
+        // 8 rows, with a 5x13 output plane that is no multiple of 8.
         let cases = [
             (8, 8, 8, 8, 24, 5, 5, 2, 2),
+            (3, 8, 8, 5, 13, 3, 3, 1, 1),
+            (2, 6, 5, 5, 13, 5, 5, 2, 2),
+            (2, 4, 9, 6, 11, 3, 3, 1, 1),
+            (3, 8, 8, 5, 13, 1, 1, 0, 0),
             (4, 3, 5, 6, 9, 3, 3, 1, 2),
             (3, 2, 3, 5, 7, 1, 1, 0, 0),
             (5, 3, 2, 4, 6, 2, 2, 1, 0),

@@ -9,6 +9,32 @@
 //! multiply-adds. Everything is safe Rust; the fixed-size inner loops
 //! are shaped so LLVM's autovectoriser turns them into wide SIMD FMAs.
 //!
+//! ## Two tile orientations
+//!
+//! [`gemm`] picks one of two register tiles from the shape alone:
+//!
+//! * **Packed `MR`×`NR` tile** (4 rows × 16 columns; columns are the
+//!   SIMD lanes): every product with more than [`SM_ROWS`] or fewer
+//!   than `SM_MIN_ROWS` output rows, and every product when the AVX2
+//!   kernels are off (`TS3_SIMD=0` or no AVX2+FMA). Small or thin
+//!   shapes take the strided naive loop ([`gemm_naive`]) instead.
+//! * **Short-M tile** (up to [`SM_ROWS`] = 8 rows × [`SM_COLS`] = 8
+//!   columns; rows are the lanes of one `__m256`): products with
+//!   4 ≤ m ≤ 8 output rows when AVX2+FMA is active — the conv2d
+//!   `W·cols` and `gy·colsᵀ` products and the k = 1 `Wᵀ·gy` at
+//!   `C_out = 8`. Each step broadcasts one element of B straight from
+//!   the unpacked view (dense or transposed) into eight column
+//!   accumulators, so there is no `pack_b` and no `KC` slab. At m ≤ 8
+//!   the packed tile re-packs all of B to serve two 4-row panels (or
+//!   runs ragged rows through the scalar edge kernel), which is what
+//!   the short-M tile saves. At m < 4 it idles more than half its
+//!   lanes, and the naive loop wins (kernel bench rows at m ∈ 1..8).
+//!   The kernel lives in [`crate::simd`]; conv calls whose products take
+//!   it bump `tensor.gemm.sched.short_m_avx2`.
+//!
+//! Both orientations keep the one bit contract below, so which tile ran
+//! is a speed fact, never a numeric one.
+//!
 //! ## Bit-identical-to-naive contract
 //!
 //! Every output element is produced by **exactly the same sequence of
@@ -55,6 +81,15 @@ const MC: usize = 64;
 const KC: usize = 256;
 /// Columns of `B` packed per panel (`KC*NC` floats ~ 256 KiB in L2).
 const NC: usize = 256;
+
+/// Most output rows the short-M kernel holds: the lanes of one 8-wide
+/// SIMD vector.
+pub(crate) const SM_ROWS: usize = 8;
+/// Output columns per short-M block, one accumulator vector each.
+pub(crate) const SM_COLS: usize = 8;
+/// Fewest output rows that take the short-M kernel: below it more than
+/// half the lanes idle, and the naive axpy loop is faster.
+const SM_MIN_ROWS: usize = 4;
 
 /// Output columns whose dot-product chains [`gemm_naive`] interleaves.
 const DOT_COLS: usize = 8;
@@ -111,6 +146,11 @@ pub(crate) fn gemm(a: MatRef, b: MatRef, out: &mut [f32], m: usize, k: usize, n:
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    if takes_short_m(m, k, n)
+        && SCRATCH.with(|cell| crate::simd::short_m_dispatch(a, b, out, m, k, n, &mut cell.borrow_mut().0))
+    {
+        return;
+    }
     if m < MR || n < NR || m * k * n < PACK_THRESHOLD_FLOPS {
         return gemm_naive(a, b, out, m, k, n);
     }
@@ -150,6 +190,22 @@ pub(crate) fn gemm(a: MatRef, b: MatRef, out: &mut [f32], m: usize, k: usize, n:
             }
         }
     });
+}
+
+/// True when [`gemm`] runs an `m x k x n` product on the short-M AVX2
+/// kernel (see the module docs).
+fn takes_short_m(m: usize, k: usize, n: usize) -> bool {
+    (SM_MIN_ROWS..=SM_ROWS).contains(&m) && k > 0 && n > 0 && crate::simd::avx2_active()
+}
+
+/// Bump `tensor.gemm.sched.short_m_avx2` once if any of one kernel
+/// call's `(m, k, n)` products takes the short-M kernel. The conv
+/// kernels call this on the calling thread, under their active span, so
+/// the count does not depend on the thread count.
+pub(crate) fn count_short_m(products: &[(usize, usize, usize)]) {
+    if products.iter().any(|&(m, k, n)| takes_short_m(m, k, n)) {
+        ts3_obs::counter_add("tensor.gemm.sched.short_m_avx2", 1);
+    }
 }
 
 /// Pack the `mc x kc` panel of `a` at `(ic, pc)` into `MR`-row

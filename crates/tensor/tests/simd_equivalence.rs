@@ -30,9 +30,10 @@ fn gemm_simd_and_scalar_are_bitwise_identical() {
         return;
     }
     // (m, k, n) shapes: full 4x16 tiles, ragged M/N/K edges around the
-    // MR=4 / NR=16 / KC=256 blocking, and tiny sub-threshold cases that
-    // take the naive path.
-    let shapes: &[(usize, usize, usize)] = &[
+    // MR=4 / NR=16 / KC=256 blocking, tiny sub-threshold cases that
+    // take the naive path, then the short-M grid: M on both sides of
+    // its row range, N ragged against its 8-column blocks.
+    let mut shapes = vec![
         (1, 1, 1),
         (3, 5, 7),
         (4, 8, 16),
@@ -45,6 +46,13 @@ fn gemm_simd_and_scalar_are_bitwise_identical() {
         (64, 300, 48),
         (128, 128, 128),
     ];
+    for m in [1, 3, 4, 5, 7, 8, 9] {
+        for n in [1, 7, 8, 9, 200, 768] {
+            for k in [1, 8, 768] {
+                shapes.push((m, k, n));
+            }
+        }
+    }
     for (i, &(m, k, n)) in shapes.iter().enumerate() {
         let a = Tensor::randn(&[m, k], 100 + i as u64);
         let b = Tensor::randn(&[k, n], 200 + i as u64);

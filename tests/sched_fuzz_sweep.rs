@@ -13,8 +13,10 @@
 //! dependence, or a data race.
 //!
 //! Taped steps are also pinned across commits: an FNV-1a hash of the
-//! baseline's TS3Net gradient bits, and of one unfuzzed TimesNet step's,
-//! must equal a committed constant, so a change that reorders the
+//! baseline's TS3Net gradient bits, of one unfuzzed TimesNet step's and
+//! of one unfuzzed TS3Net step at perfbench's train shape (7 channels,
+//! 96 → 96, batch 8, so the inception convolutions run 8 output
+//! channels) must equal a committed constant, so a change that reorders the
 //! arithmetic of a layer either keeps the bits or has to re-pin them on
 //! purpose.
 //!
@@ -33,9 +35,11 @@ const SEEDS: u64 = 16;
 const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Pinned FNV-1a hashes of the taped-step gradient bits
-/// ([`taped_step_bits`]) of the tiny TS3Net and TimesNet below.
+/// ([`taped_step_bits`]) of the tiny TS3Net and TimesNet below, and of
+/// the scaled TS3Net perfbench trains.
 const TS3NET_GRAD_HASH: u64 = 0x5abe_526a_4d7b_6c57;
 const TIMESNET_GRAD_HASH: u64 = 0xde6a_1b8f_59dc_5e7a;
+const TS3NET_TRAIN_SHAPE_GRAD_HASH: u64 = 0xa00b_b90a_436c_b9a9;
 
 fn tiny_cfg(c: usize, lookback: usize, horizon: usize) -> TS3NetConfig {
     let mut cfg = TS3NetConfig::scaled(c, lookback, horizon);
@@ -70,8 +74,8 @@ fn fnv1a(bits: &[u32]) -> u64 {
 /// every parameter gradient (conv, matmul and FFT adjoints) as bits.
 /// Batch 5 splits unevenly at 2 and 4 threads, so a reduction whose
 /// association followed the sample blocks would change bits here.
-fn taped_step_bits(model: &dyn ForecastModel, lookback: usize, c: usize) -> Vec<u32> {
-    let xb = Tensor::from_vec(series(5 * lookback * c, 19), &[5, lookback, c]);
+fn taped_step_bits(model: &dyn ForecastModel, batch: usize, lookback: usize, c: usize) -> Vec<u32> {
+    let xb = Tensor::from_vec(series(batch * lookback * c, 19), &[batch, lookback, c]);
     let params = model.parameters();
     for p in &params {
         p.zero_grad();
@@ -127,7 +131,7 @@ fn evaluate(model: &TS3Net, x: &Tensor) -> Vec<u32> {
     let mut ctx = Ctx::eval();
     push(&mut bits, model.forecast(x, &mut ctx).value().as_slice());
 
-    bits.extend(taped_step_bits(model, x.shape()[1], x.shape()[2]));
+    bits.extend(taped_step_bits(model, 5, x.shape()[1], x.shape()[2]));
     bits
 }
 
@@ -156,7 +160,12 @@ fn sixteen_fuzzed_schedules_are_bitwise_identical() {
     let n_grads: usize = model.parameters().iter().map(|p| p.numel()).sum();
     for (name, got, want) in [
         ("TS3Net", fnv1a(&baseline[baseline.len() - n_grads..]), TS3NET_GRAD_HASH),
-        ("TimesNet", fnv1a(&taped_step_bits(&tiny_timesnet(), 32, 2)), TIMESNET_GRAD_HASH),
+        ("TimesNet", fnv1a(&taped_step_bits(&tiny_timesnet(), 5, 32, 2)), TIMESNET_GRAD_HASH),
+        (
+            "TS3Net at perfbench's train shape",
+            fnv1a(&taped_step_bits(&TS3Net::new(TS3NetConfig::scaled(7, 96, 96), 42), 8, 96, 7)),
+            TS3NET_TRAIN_SHAPE_GRAD_HASH,
+        ),
     ] {
         assert_eq!(got, want, "{name} taped-step gradient hash {got:#018x}, pinned {want:#018x}");
     }
