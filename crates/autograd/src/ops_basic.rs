@@ -155,7 +155,8 @@ impl Var {
 
     /// GELU activation (tanh approximation), differentiated analytically.
     /// The forward's inner `tanh` is kept for the backward, which needs
-    /// it in both terms of the derivative.
+    /// it in both terms of the derivative. The backward forms `g · dx`
+    /// in one pass, one multiply per element, with no `dx` tensor.
     pub fn gelu(&self) -> Var {
         let (value, t) = self.value().gelu_with_tanh();
         Var::node(
@@ -165,16 +166,18 @@ impl Var {
                 const C: f32 = 0.797_884_6; // sqrt(2/pi)
                 const A: f32 = 0.044_715;
                 let x = parents[0].value();
-                let dx = x
+                assert_eq!(g.shape(), x.shape(), "gelu backward: gradient shape");
+                let gx = g
                     .as_slice()
                     .iter()
+                    .zip(x.as_slice())
                     .zip(t.as_slice())
-                    .map(|(&x, &t)| {
+                    .map(|((&g, &x), &t)| {
                         let du = C * (1.0 + 3.0 * A * x * x);
-                        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+                        g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
                     })
                     .collect();
-                vec![Some(g.mul(&Tensor::from_vec(dx, x.shape())))]
+                vec![Some(Tensor::from_vec(gx, x.shape()))]
             }),
         )
     }

@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the numeric substrate: FFT, CWT, matmul, conv2d
-//! (forward and backward), trend decomposition and spectrum-gradient
-//! kernels — the building blocks whose cost dominates every table run.
+//! (forward and backward), GELU, trend decomposition and
+//! spectrum-gradient kernels — the building blocks whose cost dominates
+//! every table run.
 //!
 //! Run with: `cargo bench -p ts3-bench --features bench-harness`
 //! (off by default so plain `cargo test` never builds these), or via
@@ -95,6 +96,13 @@ fn bench_conv2d(h: &mut Harness) {
     }
 }
 
+fn bench_gelu(h: &mut Harness) {
+    // The GELU between the TF-Block's inception stages, on their hidden
+    // plane [B=8, C=8, lambda=8, T=96]: one tanh per element.
+    let x = Tensor::randn(&[8, 8, 8, 96], 12);
+    h.bench("gelu/8x8x8x96", || black_box(&x).gelu_with_tanh());
+}
+
 fn bench_decomposition(h: &mut Harness) {
     let x = Tensor::randn(&[96, 7], 5);
     h.bench("decomposition/trend_decompose_96x7", || {
@@ -151,6 +159,7 @@ fn main() {
     bench_cwt(&mut h);
     bench_matmul(&mut h);
     bench_conv2d(&mut h);
+    bench_gelu(&mut h);
     bench_decomposition(&mut h);
     bench_thread_sweep(&mut h);
     // Machine-readable mirror (op, shape, median ns + IQR, thread cap)

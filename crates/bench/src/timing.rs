@@ -7,7 +7,12 @@
 //! measurement), then warmed up for a fixed duration while the per-call
 //! iteration count is auto-scaled so one sample lasts at least
 //! `MIN_SAMPLE` (1 ms), which keeps [`Instant`] quantisation noise well
-//! below 1%. All deltas are monotonic `Instant` differences. We report
+//! below 1%. Measurement then runs for the budget, but never stops
+//! before `MIN_SAMPLES` (20) samples: a body slower than budget / 20
+//! (the TS3Net train step at ~70 ms got 3–5 samples in 300 ms) runs
+//! over budget, so its median does not rest on a few samples taken in
+//! one of the host's fast or slow states. All deltas are monotonic
+//! `Instant` differences. We report
 //! the **median** per-iteration time with its inter-quartile range
 //! (p25..p75): the median is robust to interference spikes, and the IQR
 //! makes run-to-run noise visible instead of averaging it away.
@@ -28,6 +33,7 @@ pub fn black_box<T>(x: T) -> T {
 
 const WARMUP: Duration = Duration::from_millis(100);
 const MIN_SAMPLE: Duration = Duration::from_millis(1);
+const MIN_SAMPLES: usize = 20;
 const MAX_SAMPLES: usize = 50;
 
 fn measure_budget() -> Duration {
@@ -147,7 +153,9 @@ fn run_one<R>(f: &mut impl FnMut() -> R) -> Stats {
     let mut samples: Vec<Duration> = Vec::new();
     let mut total_iters = 0u64;
     let run_start = Instant::now();
-    while run_start.elapsed() < budget && samples.len() < MAX_SAMPLES {
+    while (run_start.elapsed() < budget || samples.len() < MIN_SAMPLES)
+        && samples.len() < MAX_SAMPLES
+    {
         let t0 = Instant::now();
         for _ in 0..per_sample {
             hint_black_box(f());
@@ -209,7 +217,9 @@ mod tests {
         h.bench("noop/1", || black_box(1 + 1));
         assert_eq!(h.results().len(), 1);
         let s = h.results()[0].1;
-        assert!(s.iters > 0);
+        // At least MIN_SAMPLES samples of at least one iteration each,
+        // however short the budget.
+        assert!(s.iters >= MIN_SAMPLES as u64);
         assert!(s.min <= s.p25 && s.p25 <= s.median && s.median <= s.p75);
         h.finish();
         std::env::remove_var("TS3_BENCH_MS");

@@ -63,9 +63,11 @@ impl Tensor {
         self.map(f32::cos)
     }
 
-    /// Elementwise hyperbolic tangent.
+    /// Elementwise hyperbolic tangent: fdlibm's `tanhf`, bit-identical
+    /// to glibc's `f32::tanh` but independent of the host libm, on the
+    /// AVX2 kernel when it is selected (see [`crate::simd`]).
     pub fn tanh(&self) -> Tensor {
-        self.map(f32::tanh)
+        Tensor { data: crate::simd::tanh_vec(&self.data), shape: self.shape.clone() }
     }
 
     /// Elementwise logistic sigmoid.
@@ -80,13 +82,32 @@ impl Tensor {
 
     /// Elementwise GELU (tanh approximation, as used by most DL
     /// frameworks), returned with its inner
-    /// `tanh(√(2/π)·(x + 0.044715·x³))`, which the GELU derivative
-    /// reuses.
+    /// `t = tanh(√(2/π)·(x + 0.044715·x³))`, which the GELU derivative
+    /// reuses. One pass writes both outputs, in the scalar order
+    /// `((0.044715·x)·x)·x`, then `√(2/π)·(x + cube)`, then
+    /// `(0.5·x)·(1 + t)`, with [`Tensor::tanh`]'s fdlibm `tanh` and no
+    /// FMA, so the AVX2 kernel and `TS3_SIMD=0` give the same bits and
+    /// neither depends on the host libm. Traced as a `tensor.gelu` span
+    /// (field `n`, the element count) with a `tensor.gelu.sched.tanh_*`
+    /// counter naming the kernel that ran.
     pub fn gelu_with_tanh(&self) -> (Tensor, Tensor) {
-        const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-        let t = self.map(|v| (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh());
-        let data = self.data.iter().zip(&t.data).map(|(&v, &t)| 0.5 * v * (1.0 + t)).collect();
-        (Tensor { data, shape: self.shape.clone() }, t)
+        let mut span = ts3_obs::span("tensor.gelu");
+        if span.active() {
+            span.field("n", self.data.len());
+            ts3_obs::counter_add(
+                if crate::simd::avx2_active() {
+                    "tensor.gelu.sched.tanh_avx2"
+                } else {
+                    "tensor.gelu.sched.tanh_scalar"
+                },
+                1,
+            );
+        }
+        let (gelu, t) = crate::simd::gelu_tanh_vec(&self.data);
+        (
+            Tensor { data: gelu, shape: self.shape.clone() },
+            Tensor { data: t, shape: self.shape.clone() },
+        )
     }
 
     /// Elementwise power with an f32 exponent.

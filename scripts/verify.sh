@@ -59,12 +59,14 @@ timeout 900 ./scripts/bench.sh --smoke --out-dir target/bench-smoke > /dev/null
 # have run during the smoke: the bench traces with TS3_TRACE=1, so the
 # `.sched.` dispatch counters land in its manifest. `short_m_avx2` counts
 # the conv2d / conv2d_backward calls (Co = 8 in the smoke) whose products
-# ran gemm's short-M kernel. (Counters only — outputs are bitwise
+# ran gemm's short-M kernel; `tanh_avx2` counts the gelu/8x8x8x96 calls
+# that ran the AVX2 tanh. (Counters only — outputs are bitwise
 # identical across dispatch, see crates/tensor/src/simd.rs.)
 if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
   ./target/release/trace_check results/BENCH_kernels_smoke.trace.json \
     --require-counter tensor.gemm.sched.dispatch_avx2 \
     --require-counter tensor.gemm.sched.short_m_avx2 \
+    --require-counter tensor.gelu.sched.tanh_avx2 \
     --require-counter signal.fft.sched.dispatch_avx2
   echo "ok: AVX2 dispatch counters ticked during the bench smoke"
 fi
