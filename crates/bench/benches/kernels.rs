@@ -19,7 +19,7 @@ use ts3_bench::timing::{black_box, Harness};
 use ts3_bench::RunProfile;
 use ts3_signal::decompose::{spectrum_gradient, trend_decompose, DEFAULT_TREND_KERNELS};
 use ts3_signal::fft::{rfft, rfft_half};
-use ts3_signal::{CwtPlan, WaveletKind};
+use ts3_signal::{CwtPlan, Lanes, WaveletKind};
 use ts3_tensor::{conv2d, conv2d_backward, Tensor};
 
 /// Reduced-subset switch for the `verify.sh` bench gate.
@@ -52,6 +52,19 @@ fn bench_cwt(h: &mut Harness) {
         h.bench(&format!("cwt/forward_amp/{lambda}"), || {
             plan.amplitude(black_box(&x))
         });
+        if lambda == 16 {
+            // The stream pulse's S-GD bank: all 7 channels of a `[96, 7]`
+            // seasonal window in one lane pass, into `[16, 96, 7]`.
+            let xs: Vec<f32> = (0..96 * 7).map(|i| (i as f32 * 0.3).sin()).collect();
+            let ch: Vec<usize> = (0..7).collect();
+            let src = Lanes { offsets: &ch, t_stride: 7, row_stride: 0 };
+            let dst = Lanes { offsets: &ch, t_stride: 7, row_stride: 96 * 7 };
+            let mut amp = vec![0.0f32; 16 * 96 * 7];
+            h.bench("cwt/forward_amp_lanes/96x16x7", || {
+                plan.amplitude_lanes(black_box(&xs), src, &mut amp, dst);
+                amp[0]
+            });
+        }
     }
     if smoke() {
         return;
@@ -63,6 +76,20 @@ fn bench_cwt(h: &mut Harness) {
     let g_im = w.clone();
     h.bench("cwt/adjoint_16", || {
         plan.adjoint(black_box(&g_re), black_box(&g_im))
+    });
+    // A TF-Block branch backward at lambda 8: one lane group of eight
+    // `[8, 96]` cotangent grids back to a `[96, 8]` input gradient.
+    let plan = CwtPlan::new(96, 8, WaveletKind::ComplexGaussian);
+    let g: Vec<f32> = (0..8 * 8 * 96).map(|i| (i as f32 * 0.01).sin()).collect();
+    let grids: Vec<usize> = (0..8).map(|l| l * 8 * 96).collect();
+    let chans: Vec<usize> = (0..8).collect();
+    let src = Lanes { offsets: &grids, t_stride: 1, row_stride: 96 };
+    let dst = Lanes { offsets: &chans, t_stride: 8, row_stride: 0 };
+    let mut gx = vec![0.0f32; 96 * 8];
+    h.bench("cwt/adjoint_lanes/96x8x8", || {
+        gx.fill(0.0);
+        plan.adjoint_lanes(black_box(&g), black_box(&g), src, &mut gx, dst);
+        gx[0]
     });
 }
 

@@ -4,7 +4,7 @@
 
 use std::rc::Rc;
 use ts3_autograd::Var;
-use ts3_signal::CwtPlan;
+use ts3_signal::{CwtPlan, Lanes};
 use ts3_tensor::Tensor;
 
 const AMP_EPS: f32 = 1e-8;
@@ -12,9 +12,11 @@ const AMP_EPS: f32 = 1e-8;
 /// Differentiable `Amp(WT(x))`: `[B, T, D] -> [B, D, lambda, T]`
 /// (channel-major layout ready for 2-D convolution).
 ///
-/// The backward closure keeps the complex coefficients of the forward:
-/// with `a = sqrt(re^2 + im^2 + eps)`, the VJP is
-/// `adjoint(g * re / a, g * im / a)` per (batch, channel) lane.
+/// The `B * D` series (lane `bi * D + di`) run through the plan's
+/// lane-batched bank, eight per pass. The backward closure keeps the
+/// complex coefficients of the forward: with `a = sqrt(re^2 + im^2 +
+/// eps)`, the VJP is `adjoint(g * re / a, g * im / a)` per lane, added
+/// into the input gradient.
 pub fn cwt_amplitude(x: &Var, plan: &Rc<CwtPlan>) -> Var {
     let xv = x.value();
     assert_eq!(xv.rank(), 3, "cwt_amp expects [B, T, D]");
@@ -22,46 +24,45 @@ pub fn cwt_amplitude(x: &Var, plan: &Rc<CwtPlan>) -> Var {
     assert_eq!(t, plan.t_len, "cwt_amp: plan built for T={}, got {t}", plan.t_len);
     let lambda = plan.lambda;
     let lane_len = lambda * t;
-    // Flattened re/im and amplitudes, lane `bi * D + di` at `lane * lane_len`.
+    // Series `l = bi * D + di` reads column `di` of batch `bi` and owns
+    // the `[lambda, T]` grid at `l * lane_len`.
+    let cols: Vec<usize> = (0..b * d).map(|l| (l / d) * t * d + l % d).collect();
+    let grids: Vec<usize> = (0..b * d).map(|l| l * lane_len).collect();
     let mut re_all = vec![0.0f32; b * d * lane_len];
     let mut im_all = vec![0.0f32; b * d * lane_len];
-    let mut out = vec![0.0f32; b * d * lane_len];
-    let xs = xv.as_slice();
-    for bi in 0..b {
-        for di in 0..d {
-            let col: Vec<f32> = (0..t).map(|ti| xs[(bi * t + ti) * d + di]).collect();
-            let (re, im) = plan.forward_complex(&col);
-            let base = (bi * d + di) * lane_len;
-            re_all[base..base + lane_len].copy_from_slice(&re);
-            im_all[base..base + lane_len].copy_from_slice(&im);
-            for j in 0..lane_len {
-                out[base + j] = (re[j] * re[j] + im[j] * im[j] + AMP_EPS).sqrt();
-            }
-        }
-    }
+    plan.forward_complex_lanes(
+        xv.as_slice(),
+        Lanes { offsets: &cols, t_stride: d, row_stride: 0 },
+        &mut re_all,
+        &mut im_all,
+        Lanes { offsets: &grids, t_stride: 1, row_stride: t },
+    );
+    let out: Vec<f32> = re_all
+        .iter()
+        .zip(&im_all)
+        .map(|(&re, &im)| (re * re + im * im + AMP_EPS).sqrt())
+        .collect();
     let plan = plan.clone();
     let backward = move |grad: &Tensor, _: &[Var]| {
         let gs = grad.as_slice();
-        let mut gx = vec![0.0f32; b * t * d];
-        for bi in 0..b {
-            for di in 0..d {
-                let base = (bi * d + di) * lane_len;
-                let mut g_re = vec![0.0f32; lane_len];
-                let mut g_im = vec![0.0f32; lane_len];
-                for j in 0..lane_len {
-                    let re = re_all[base + j];
-                    let im = im_all[base + j];
-                    let a = (re * re + im * im + AMP_EPS).sqrt();
-                    let g = gs[base + j];
-                    g_re[j] = g * re / a;
-                    g_im[j] = g * im / a;
-                }
-                let lane_grad = plan.adjoint(&g_re, &g_im);
-                for (ti, &v) in lane_grad.iter().enumerate() {
-                    gx[(bi * t + ti) * d + di] += v;
-                }
-            }
+        let mut g_re = vec![0.0f32; gs.len()];
+        let mut g_im = vec![0.0f32; gs.len()];
+        for j in 0..gs.len() {
+            let re = re_all[j];
+            let im = im_all[j];
+            let a = (re * re + im * im + AMP_EPS).sqrt();
+            let g = gs[j];
+            g_re[j] = g * re / a;
+            g_im[j] = g * im / a;
         }
+        let mut gx = vec![0.0f32; b * t * d];
+        plan.adjoint_lanes(
+            &g_re,
+            &g_im,
+            Lanes { offsets: &grids, t_stride: 1, row_stride: t },
+            &mut gx,
+            Lanes { offsets: &cols, t_stride: d, row_stride: 0 },
+        );
         vec![Some(Tensor::from_vec(gx, &[b, t, d]))]
     };
     Var::node(Tensor::from_vec(out, &[b, d, lambda, t]), vec![x.clone()], Box::new(backward))
@@ -78,10 +79,11 @@ pub fn iwt(w: &Var, plan: &Rc<CwtPlan>) -> Var {
     let ws = wv.as_slice();
     let lane_len = lambda * t;
     let mut out = vec![0.0f32; b * t * d];
+    let mut x = vec![0.0f32; t];
     for bi in 0..b {
         for di in 0..d {
             let base = (bi * d + di) * lane_len;
-            let x = plan.inverse(&ws[base..base + lane_len]);
+            plan.inverse_into(&ws[base..base + lane_len], &mut x);
             for (ti, &v) in x.iter().enumerate() {
                 out[(bi * t + ti) * d + di] = v;
             }
@@ -126,17 +128,58 @@ mod tests {
 
     #[test]
     fn cwt_amplitude_matches_plan_per_lane() {
+        // Nine lanes (one full lane group plus one) on a [3, 24, 3]
+        // input: every lane's amplitude is bitwise the single-series
+        // `forward_complex` through the model's eps formula.
         let p = plan(24, 3);
-        let x = Tensor::randn(&[1, 24, 2], 2);
+        let (b, t, d) = (3, 24, 3);
+        let x = Tensor::randn(&[b, t, d], 2);
         let y = cwt_amplitude(&Var::constant(x.clone()), &p);
-        // Channel 1 lane must equal the plan's amplitude of that column.
-        let col: Vec<f32> = (0..24).map(|t| x.at(&[0, t, 1])).collect();
-        let want = p.amplitude(&col);
-        for li in 0..3 {
-            for ti in 0..24 {
-                let got = y.value().at(&[0, 1, li, ti]);
-                let w = (want[li * 24 + ti].powi(2) + AMP_EPS).sqrt();
-                assert!((got - w).abs() < 1e-4, "({li},{ti}): {got} vs {w}");
+        for bi in 0..b {
+            for di in 0..d {
+                let col: Vec<f32> = (0..t).map(|ti| x.at(&[bi, ti, di])).collect();
+                let (re, im) = p.forward_complex(&col);
+                for li in 0..3 {
+                    for ti in 0..t {
+                        let k = li * t + ti;
+                        let want = (re[k] * re[k] + im[k] * im[k] + AMP_EPS).sqrt();
+                        let got = y.value().at(&[bi, di, li, ti]);
+                        assert_eq!(got.to_bits(), want.to_bits(), "({bi},{di},{li},{ti}): {got} vs {want}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cwt_amplitude_backward_matches_plan_adjoint_per_lane() {
+        // The input gradient of every lane is bitwise the single-series
+        // `adjoint` of `g * re / a`, `g * im / a`, added into zeros.
+        let p = plan(24, 3);
+        let (b, t, d) = (3, 24, 3);
+        let x = Tensor::randn(&[b, t, d], 12);
+        let g = Tensor::randn(&[b, d, 3, t], 13);
+        let v = Var::constant(x.clone());
+        cwt_amplitude(&v, &p).backward_with(g.clone());
+        let gx = v.grad().expect("input gradient");
+        for bi in 0..b {
+            for di in 0..d {
+                let col: Vec<f32> = (0..t).map(|ti| x.at(&[bi, ti, di])).collect();
+                let (re, im) = p.forward_complex(&col);
+                let mut g_re = vec![0.0f32; 3 * t];
+                let mut g_im = vec![0.0f32; 3 * t];
+                for k in 0..3 * t {
+                    let a = (re[k] * re[k] + im[k] * im[k] + AMP_EPS).sqrt();
+                    let gk = g.at(&[bi, di, k / t, k % t]);
+                    g_re[k] = gk * re[k] / a;
+                    g_im[k] = gk * im[k] / a;
+                }
+                let want = p.adjoint(&g_re, &g_im);
+                for (ti, &v) in want.iter().enumerate() {
+                    let w = 0.0 + v;
+                    let got = gx.at(&[bi, ti, di]);
+                    assert_eq!(got.to_bits(), w.to_bits(), "({bi},{ti},{di}): {got} vs {w}");
+                }
             }
         }
     }

@@ -38,7 +38,7 @@ pub mod spectrum;
 pub mod wavelet;
 
 pub use complex::Complex32;
-pub use cwt::CwtPlan;
+pub use cwt::{CwtPlan, Lanes};
 pub use decompose::{
     sgd_channel, spectrum_gradient, spectrum_gradient_rows, trend_decompose, trend_seasonal_into,
     triple_decompose, TripleConfig, TripleDecomposition,

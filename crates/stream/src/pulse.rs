@@ -19,9 +19,16 @@
 //!   per-element tensor reads/writes;
 //! * the trend split (Eq. 1) and the periodogram (Eq. 2) are the batch
 //!   path's own slice kernels, `ts3_signal::trend_seasonal_into` and
-//!   `ts3_signal::mean_amplitude_spectrum_into`; they and the spectrum
-//!   gradient write into reused scratch buffers — no tensor allocation
-//!   per pulse.
+//!   `ts3_signal::mean_amplitude_spectrum_into`, writing into reused
+//!   scratch buffers — no tensor allocation per pulse;
+//! * S-GD (Eq. 8–10) runs all channels at once: one lane-batched CWT
+//!   pass (`CwtPlan::amplitude_lanes`, eight channels per AVX2 vector,
+//!   bitwise equal per channel to the `amplitude` that `sgd_channel`
+//!   calls) straight from the `[T, C]` seasonal buffer into the
+//!   `[lambda, T, C]` emit, then the spectrum gradient and the inverse
+//!   (`CwtPlan::inverse_into`) over the channel-interleaved grids, with
+//!   no per-channel copy and, on the AVX2 path, no allocation beyond the
+//!   emitted buffers.
 //!
 //! The trend is replayed over the whole window on every pulse rather
 //! than carried across pushes: the replicate padding repeats the
@@ -31,16 +38,20 @@
 //!
 //! Each pulse opens a `stream.pulse` span with three children:
 //! `signal.trend_decompose`, `signal.periodogram` (only when `T_f` is
-//! detected) and `stream.sgd`, the per-channel S-GD loop (Eq. 8–10).
+//! detected) and `stream.sgd`, the S-GD step (Eq. 8–10), which holds one
+//! `signal.cwt.forward` span per group of up to eight channels and one
+//! `signal.cwt.inverse`.
 //!
 //! Per push the bookkeeping is O(C); the decomposition work itself runs
 //! once per `hop` pushes, so the amortized per-sample cost is
-//! `O(lambda * T log T / hop)` with a constant several times smaller
-//! than the batch path's — `stream_bench` gates the ratio at >= 5x for
-//! `hop = 1`.
+//! `O(lambda * C * T log T / hop)`. The CWT bank dominates it: at
+//! `T = 96`, `lambda = 16` it runs 16 inverse FFTs of 128 or 256 points
+//! per group of channels, where the batch path runs them per channel
+//! (and rebuilds the plan). `stream_bench` gates the streamed-over-batch
+//! ratio at >= 5x for `hop = 1`.
 
 use crate::ring::RingWindow;
-use ts3_signal::cwt::CwtPlan;
+use ts3_signal::cwt::{CwtPlan, Lanes};
 use ts3_signal::decompose::{spectrum_gradient_rows, trend_seasonal_into, TripleConfig};
 use ts3_signal::spectrum::{dominant_period_from_spectrum, mean_amplitude_spectrum_into};
 use ts3_tensor::Tensor;
@@ -118,7 +129,8 @@ pub struct PulsedTriple {
     ma_scratch: Vec<f32>,
     mean_amp: Vec<f32>,
     col: Vec<f32>,
-    grad: Vec<f32>,
+    /// Channel offsets `0..C`: the S-GD lanes of a `[T, C]` row.
+    channels: Vec<usize>,
 }
 
 impl PulsedTriple {
@@ -134,7 +146,6 @@ impl PulsedTriple {
             assert!(t >= 2, "PulsedTriple: window must be >= 2");
         }
         let plan = CwtPlan::new(t, cfg.triple.lambda, cfg.triple.wavelet);
-        let lambda = cfg.triple.lambda;
         PulsedTriple {
             plan,
             ring: RingWindow::new(t, c),
@@ -145,7 +156,7 @@ impl PulsedTriple {
             ma_scratch: Vec::new(),
             mean_amp: vec![0.0; t / 2 + 1],
             col: vec![0.0; t],
-            grad: vec![0.0; lambda * t],
+            channels: (0..c).collect(),
             cfg,
         }
     }
@@ -193,9 +204,10 @@ impl PulsedTriple {
     }
 
     /// Decompose the current trailing window: the batch kernels for
-    /// Eq. 1 and Eq. 2, then `triple_decompose`'s per-channel S-GD step
-    /// replayed on the warm plan; see the module docs for why this is
-    /// both bitwise-exact and cheaper than the batch call.
+    /// Eq. 1 and Eq. 2, then `triple_decompose`'s S-GD step for every
+    /// channel in one lane-batched pass on the warm plan; see the module
+    /// docs for why this is both bitwise-exact and cheaper than the
+    /// batch call.
     fn pulse(&mut self) -> StreamDecomposition {
         let (t, c) = (self.cfg.window, self.cfg.channels);
         let lambda = self.cfg.triple.lambda;
@@ -233,29 +245,25 @@ impl PulsedTriple {
                 dominant_period_from_spectrum(&self.mean_amp, t).clamp(2, t)
             }
         };
-        // Eq. 8–10 per channel on the warm plan, exactly `sgd_channel`.
+        // Eq. 8–10 on the warm plan, all channels at once, in the
+        // `[lambda, T, C]` / `[T, C]` layouts of the emit. Every element
+        // sees `sgd_channel`'s operations on its channel: the lane bank
+        // is bitwise equal to `amplitude` per series, and the spectrum
+        // gradient and the inverse act element by element, so running
+        // them over `C`-interleaved rows (a row of `T * C` values, a
+        // chunk of `t_f * C`) changes the layout, not the arithmetic.
         let sgd = ts3_obs::span("stream.sgd");
         let mut regular = vec![0.0; t * c];
         let mut fluct_1d = vec![0.0; t * c];
         let mut fluct_2d = vec![0.0; lambda * t * c];
         let mut tf_all = vec![0.0; lambda * t * c];
-        for ch in 0..c {
-            for i in 0..t {
-                self.col[i] = self.seasonal_buf[i * c + ch];
-            }
-            let amp = self.plan.amplitude(&self.col);
-            spectrum_gradient_rows(&amp, lambda, t, t_f, &mut self.grad);
-            let delta_1d = self.plan.inverse(&self.grad);
-            for li in 0..lambda {
-                for i in 0..t {
-                    tf_all[(li * t + i) * c + ch] = amp[li * t + i];
-                    fluct_2d[(li * t + i) * c + ch] = self.grad[li * t + i];
-                }
-            }
-            for i in 0..t {
-                fluct_1d[i * c + ch] = delta_1d[i];
-                regular[i * c + ch] = self.col[i] - delta_1d[i];
-            }
+        let src = Lanes { offsets: &self.channels, t_stride: c, row_stride: 0 };
+        let dst = Lanes { offsets: &self.channels, t_stride: c, row_stride: t * c };
+        self.plan.amplitude_lanes(&self.seasonal_buf, src, &mut tf_all, dst);
+        spectrum_gradient_rows(&tf_all, lambda, t * c, t_f * c, &mut fluct_2d);
+        self.plan.inverse_into(&fluct_2d, &mut fluct_1d);
+        for ((r, &s), &d) in regular.iter_mut().zip(&self.seasonal_buf).zip(&fluct_1d) {
+            *r = s - d;
         }
         drop(sgd);
         StreamDecomposition {

@@ -1,6 +1,6 @@
 //! Where a pulse's time goes: `PulsedTriple::pulse` opens one
 //! `stream.pulse` span whose children are the shared trend kernel, the
-//! shared periodogram kernel and the per-channel S-GD loop.
+//! shared periodogram kernel and the S-GD step.
 //!
 //! Its own test binary, so it owns the process-global trace collector.
 
@@ -23,10 +23,11 @@ fn pulse_spans_cover_trend_periodogram_and_sgd() {
     ts3_obs::set_level(0);
     ts3_obs::reset();
     assert_eq!(emits, 1);
-    // The S-GD span holds one CWT forward and one inverse per channel.
-    let cwt = "signal.cwt.forward,signal.cwt.inverse";
+    // The S-GD span holds one lane-batched CWT forward for both
+    // channels and one inverse over the channel-interleaved grid.
     assert_eq!(
         shape,
-        format!("stream.pulse(signal.trend_decompose,signal.periodogram,stream.sgd({cwt},{cwt}))")
+        "stream.pulse(signal.trend_decompose,signal.periodogram,\
+         stream.sgd(signal.cwt.forward,signal.cwt.inverse))"
     );
 }

@@ -60,14 +60,17 @@ timeout 900 ./scripts/bench.sh --smoke --out-dir target/bench-smoke > /dev/null
 # `.sched.` dispatch counters land in its manifest. `short_m_avx2` counts
 # the conv2d / conv2d_backward calls (Co = 8 in the smoke) whose products
 # ran gemm's short-M kernel; `tanh_avx2` counts the gelu/8x8x8x96 calls
-# that ran the AVX2 tanh. (Counters only — outputs are bitwise
-# identical across dispatch, see crates/tensor/src/simd.rs.)
+# that ran the AVX2 tanh; `lanes_avx2` counts the CWT lane groups of
+# cwt/forward_amp_lanes/96x16x7 that ran the AVX2 lane bank. (Counters
+# only — outputs are bitwise identical across dispatch, see
+# crates/tensor/src/simd.rs and crates/signal/tests/cwt_lanes.rs.)
 if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
   ./target/release/trace_check results/BENCH_kernels_smoke.trace.json \
     --require-counter tensor.gemm.sched.dispatch_avx2 \
     --require-counter tensor.gemm.sched.short_m_avx2 \
     --require-counter tensor.gelu.sched.tanh_avx2 \
-    --require-counter signal.fft.sched.dispatch_avx2
+    --require-counter signal.fft.sched.dispatch_avx2 \
+    --require-counter signal.cwt.sched.lanes_avx2
   echo "ok: AVX2 dispatch counters ticked during the bench smoke"
 fi
 # The lint precondition inside bench.sh also records its own wall time
