@@ -18,7 +18,7 @@ impl Var {
                 // consume A/B through strided views, so no transpose is
                 // ever materialised on the backward path.
                 match (a.rank(), b.rank()) {
-                    (2, 2) => {
+                    (2, 2) | (3, 3) => {
                         let ga = g.matmul_tb(b); // G @ Bᵀ
                         let gb = a.matmul_ta(g); // Aᵀ @ G
                         vec![Some(ga), Some(gb)]
@@ -31,11 +31,6 @@ impl Var {
                         let a2 = a.reshape(&[bt * m, k]);
                         let g2 = g.reshape(&[bt * m, n]);
                         let gb = a2.matmul_ta(&g2); // [k,n]
-                        vec![Some(ga), Some(gb)]
-                    }
-                    (3, 3) => {
-                        let ga = g.matmul_tb(b); // batched G @ Bᵀ
-                        let gb = a.matmul_ta(g); // batched Aᵀ @ G
                         vec![Some(ga), Some(gb)]
                     }
                     // ts3-lint: allow(no-unwrap-in-lib) rank combinations are fixed by the forward op; this arm is a documented contract violation

@@ -125,8 +125,9 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
         );
         crate::gemm::count_short_m(&[(cout, cin * kh * kw, oh * ow)]);
     }
-    let wmat = weight.reshape(&[cout, cin * kh * kw]);
-    let sample = cout * oh * ow;
+    // The weight is read in place as the `[Co, Ci·kh·kw]` matrix.
+    let (k, p) = (cin * kh * kw, oh * ow);
+    let sample = cout * p;
     let in_sample = cin * h * w;
     let mut out = vec![0.0f32; b * sample];
     if sample > 0 {
@@ -137,14 +138,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
                 for (i, ob) in block.chunks_mut(sample).enumerate() {
                     let x = &src[(b0 + i) * in_sample..(b0 + i + 1) * in_sample];
                     im2col_into(x, cin, h, w, kh, kw, ph, pw, cols);
-                    crate::linalg::matmul_block(
-                        wmat.as_slice(),
-                        cols,
-                        ob,
-                        cout,
-                        cin * kh * kw,
-                        oh * ow,
-                    );
+                    gemm(MatRef::dense(weight.as_slice(), k), MatRef::dense(cols, p), ob, cout, k, p);
                 }
             });
         });
@@ -757,30 +751,18 @@ mod tests {
         let mut serial = vec![0.0f32; batched.numel()];
         let sample = batched.numel() / b;
         let wmat = wt.reshape(&[cout, cin * kh * kw]);
+        let (k, p) = (cin * kh * kw, (h + 2 * ph + 1 - kh) * (w + 2 * pw + 1 - kw));
         for bi in 0..b {
             let cols = im2col(&x.index_axis(0, bi), kh, kw, ph, pw);
-            crate::linalg::matmul_block(
-                wmat.as_slice(),
-                cols.as_slice(),
-                &mut serial[bi * sample..(bi + 1) * sample],
-                cout,
-                cin * kh * kw,
-                (h + 2 * ph + 1 - kh) * (w + 2 * pw + 1 - kw),
-            );
+            let ob = &mut serial[bi * sample..(bi + 1) * sample];
+            gemm(MatRef::dense(wmat.as_slice(), k), MatRef::dense(cols.as_slice(), p), ob, cout, k, p);
         }
         for threads in [1, 2, 3, 5, 8] {
             let mut par = vec![0.0f32; b * sample];
             crate::par::par_rows_mut_in(threads, &mut par, sample, &|b0, block| {
                 for (i, ob) in block.chunks_mut(sample).enumerate() {
                     let cols = im2col(&x.index_axis(0, b0 + i), kh, kw, ph, pw);
-                    crate::linalg::matmul_block(
-                        wmat.as_slice(),
-                        cols.as_slice(),
-                        ob,
-                        cout,
-                        cin * kh * kw,
-                        (h + 2 * ph + 1 - kh) * (w + 2 * pw + 1 - kw),
-                    );
+                    gemm(MatRef::dense(wmat.as_slice(), k), MatRef::dense(cols.as_slice(), p), ob, cout, k, p);
                 }
             });
             assert_eq!(

@@ -1,19 +1,25 @@
-//! Linear algebra: 2-D and batched 3-D matrix multiplication (plain and
-//! transposed variants), transpose, and general axis permutation.
+//! Linear algebra: the matrix product family, transpose, and general
+//! axis permutation.
 //!
-//! The matmul kernel is the cache-blocked packed GEMM in [`crate::gemm`]
-//! (MC×KC×NC blocking, MR×NR register tile, thread-local packing
-//! scratch); the historical unblocked loop survives in this module's
-//! tests as the bitwise reference the tiled kernel is checked against. Large products split their output rows
-//! (2-D / shared-rhs) or batch entries (fully batched) across the
-//! persistent worker pool via [`crate::par`]; because every row is
-//! computed by the identical serial kernel, parallel results are
-//! bit-identical to serial ones for any thread count.
+//! The six product entry points — [`Tensor::try_matmul`] (`A @ B`),
+//! [`Tensor::try_matmul_tb`] (`A @ Bᵀ`), [`Tensor::try_matmul_ta`]
+//! (`Aᵀ @ B`) and their panicking wrappers — are one path. A private
+//! resolver reads `(batch, m, k, n)` from the two ranks and the two
+//! transpose flags, checks the shapes, opens the `tensor.matmul` span
+//! and allocates the output; one dispatcher then runs the cache-blocked
+//! packed kernel [`crate::gemm`] on dense or transposed [`MatRef`]
+//! views, so no transpose is ever materialised. Work is split over the
+//! persistent worker pool ([`crate::par`]) in one of two ways:
 //!
-//! The transposed entry points [`Tensor::matmul_tb`] (`A @ Bᵀ`) and
-//! [`Tensor::matmul_ta`] (`Aᵀ @ B`) feed strided views straight into the
-//! packed kernel, so autograd backward passes no longer materialise
-//! explicit transposes.
+//! * **shared rhs** (rank-2 `rhs`): the output rows — `[b·m, n]`
+//!   flattened for a rank-3 lhs — are split in contiguous blocks;
+//! * **batched** (rank-3 `rhs`): the batch entries are split, each
+//!   entry one serial product.
+//!
+//! Every output element is computed by the identical serial kernel
+//! whatever the split, so parallel results are bit-identical to serial
+//! ones for any thread count. The unblocked reference loop survives in
+//! this module's tests as the bitwise oracle for the packed kernel.
 
 use crate::gemm::{gemm, MatRef};
 use crate::shape::strides_for;
@@ -49,34 +55,13 @@ fn matmul_span(b: usize, m: usize, k: usize, n: usize, shared_rhs: bool) -> ts3_
     s
 }
 
-/// Multiply an `m x k` row-major block by a `k x n` block into `out`
-/// (`m x n`, pre-zeroed by the caller). Delegates to the cache-blocked
-/// packed kernel in [`crate::gemm`]; bit-identical to the unblocked
-/// reference loop for every shape (enforced by test sweep).
-pub(crate) fn matmul_block(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm(MatRef::dense(lhs, k), MatRef::dense(rhs, n), out, m, k, n);
-}
-
-/// [`matmul_block`] with the output rows split across threads. Row `i`
-/// of `out` is produced by the same serial kernel either way, so the
-/// result is bit-identical to the serial call for any thread count.
-pub(crate) fn matmul_block_par(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_strided_par(MatRef::dense(lhs, k), MatRef::dense(rhs, n), out, m, k, n);
-}
-
-/// Row-parallel strided product: splits the output rows of `a @ b`
-/// across the worker pool and runs the packed kernel per block. The
-/// strided views let the transposed entry points share this path.
-fn matmul_strided_par(a: MatRef, b: MatRef, out: &mut [f32], m: usize, k: usize, n: usize) {
-    if m == 0 || n == 0 {
-        return;
+/// Row-major view of a stored `[rows, cols]` matrix, transposed when `t`.
+fn view(data: &[f32], cols: usize, t: bool) -> MatRef<'_> {
+    if t {
+        MatRef::dense_t(data, cols)
+    } else {
+        MatRef::dense(data, cols)
     }
-    // Enough rows per thread that each block does ~PAR_GRAIN_FLOPS work.
-    let grain = (PAR_GRAIN_FLOPS / (k * n).max(1)).max(1);
-    crate::par::par_rows_mut(out, n, grain, |row0, block| {
-        let rows = block.len() / n;
-        gemm(a.shifted(row0), b, block, rows, k, n);
-    });
 }
 
 impl Tensor {
@@ -87,79 +72,7 @@ impl Tensor {
     /// * `[b,m,k] @ [k,n] -> [b,m,n]` (shared rhs)
     /// * `[b,m,k] @ [b,k,n] -> [b,m,n]` (batched)
     pub fn try_matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        match (self.rank(), rhs.rank()) {
-            (2, 2) => {
-                let (m, k) = (self.shape[0], self.shape[1]);
-                let (k2, n) = (rhs.shape[0], rhs.shape[1]);
-                if k != k2 {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: self.shape.clone(),
-                        rhs: rhs.shape.clone(),
-                        op: "matmul",
-                    });
-                }
-                let _s = matmul_span(1, m, k, n, true);
-                let mut out = vec![0.0f32; m * n];
-                matmul_block_par(&self.data, &rhs.data, &mut out, m, k, n);
-                Ok(Tensor { data: out, shape: vec![m, n] })
-            }
-            (3, 2) => {
-                let (b, m, k) = (self.shape[0], self.shape[1], self.shape[2]);
-                let (k2, n) = (rhs.shape[0], rhs.shape[1]);
-                if k != k2 {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: self.shape.clone(),
-                        rhs: rhs.shape.clone(),
-                        op: "matmul",
-                    });
-                }
-                let _s = matmul_span(b, m, k, n, true);
-                // Shared rhs: `[b,m,k] @ [k,n]` is exactly the 2-D product
-                // `[b*m,k] @ [k,n]`, so the row-parallel kernel covers it.
-                let mut out = vec![0.0f32; b * m * n];
-                matmul_block_par(&self.data, &rhs.data, &mut out, b * m, k, n);
-                Ok(Tensor { data: out, shape: vec![b, m, n] })
-            }
-            (3, 3) => {
-                let (b, m, k) = (self.shape[0], self.shape[1], self.shape[2]);
-                let (b2, k2, n) = (rhs.shape[0], rhs.shape[1], rhs.shape[2]);
-                if k != k2 || b != b2 {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: self.shape.clone(),
-                        rhs: rhs.shape.clone(),
-                        op: "matmul",
-                    });
-                }
-                let _s = matmul_span(b, m, k, n, false);
-                let mut out = vec![0.0f32; b * m * n];
-                let sample = m * n;
-                if sample > 0 {
-                    // Batch entries are independent: partition them as
-                    // "rows" of width m*n and run the serial kernel per
-                    // batch inside each block.
-                    let grain = (PAR_GRAIN_FLOPS / (sample * k).max(1)).max(1);
-                    crate::par::par_rows_mut(&mut out, sample, grain, |b0, block| {
-                        for (i, ob) in block.chunks_mut(sample).enumerate() {
-                            let bi = b0 + i;
-                            matmul_block(
-                                &self.data[bi * m * k..(bi + 1) * m * k],
-                                &rhs.data[bi * k * n..(bi + 1) * k * n],
-                                ob,
-                                m,
-                                k,
-                                n,
-                            );
-                        }
-                    });
-                }
-                Ok(Tensor { data: out, shape: vec![b, m, n] })
-            }
-            _ => Err(TensorError::Invalid(format!(
-                "matmul: unsupported rank combination {} @ {}",
-                self.rank(),
-                rhs.rank()
-            ))),
-        }
+        self.product(rhs, false, false, "matmul")
     }
 
     /// Panicking wrapper over [`Tensor::try_matmul`].
@@ -179,89 +92,7 @@ impl Tensor {
     /// kernel only changes its pack-time gather pattern, never the
     /// per-element accumulation order.
     pub fn try_matmul_tb(&self, rhs: &Tensor) -> Result<Tensor> {
-        match (self.rank(), rhs.rank()) {
-            (2, 2) => {
-                let (m, k) = (self.shape[0], self.shape[1]);
-                let (n, k2) = (rhs.shape[0], rhs.shape[1]);
-                if k != k2 {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: self.shape.clone(),
-                        rhs: rhs.shape.clone(),
-                        op: "matmul_tb",
-                    });
-                }
-                let _s = matmul_span(1, m, k, n, true);
-                let mut out = vec![0.0f32; m * n];
-                matmul_strided_par(
-                    MatRef::dense(&self.data, k),
-                    MatRef::dense_t(&rhs.data, k),
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                );
-                Ok(Tensor { data: out, shape: vec![m, n] })
-            }
-            (3, 2) => {
-                let (b, m, k) = (self.shape[0], self.shape[1], self.shape[2]);
-                let (n, k2) = (rhs.shape[0], rhs.shape[1]);
-                if k != k2 {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: self.shape.clone(),
-                        rhs: rhs.shape.clone(),
-                        op: "matmul_tb",
-                    });
-                }
-                let _s = matmul_span(b, m, k, n, true);
-                // Shared rhs flattens exactly like try_matmul's (3,2) arm.
-                let mut out = vec![0.0f32; b * m * n];
-                matmul_strided_par(
-                    MatRef::dense(&self.data, k),
-                    MatRef::dense_t(&rhs.data, k),
-                    &mut out,
-                    b * m,
-                    k,
-                    n,
-                );
-                Ok(Tensor { data: out, shape: vec![b, m, n] })
-            }
-            (3, 3) => {
-                let (b, m, k) = (self.shape[0], self.shape[1], self.shape[2]);
-                let (b2, n, k2) = (rhs.shape[0], rhs.shape[1], rhs.shape[2]);
-                if k != k2 || b != b2 {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: self.shape.clone(),
-                        rhs: rhs.shape.clone(),
-                        op: "matmul_tb",
-                    });
-                }
-                let _s = matmul_span(b, m, k, n, false);
-                let mut out = vec![0.0f32; b * m * n];
-                let sample = m * n;
-                if sample > 0 {
-                    let grain = (PAR_GRAIN_FLOPS / (sample * k).max(1)).max(1);
-                    crate::par::par_rows_mut(&mut out, sample, grain, |b0, block| {
-                        for (i, ob) in block.chunks_mut(sample).enumerate() {
-                            let bi = b0 + i;
-                            gemm(
-                                MatRef::dense(&self.data[bi * m * k..(bi + 1) * m * k], k),
-                                MatRef::dense_t(&rhs.data[bi * n * k..(bi + 1) * n * k], k),
-                                ob,
-                                m,
-                                k,
-                                n,
-                            );
-                        }
-                    });
-                }
-                Ok(Tensor { data: out, shape: vec![b, m, n] })
-            }
-            _ => Err(TensorError::Invalid(format!(
-                "matmul_tb: unsupported rank combination {} @ {}",
-                self.rank(),
-                rhs.rank()
-            ))),
-        }
+        self.product(rhs, false, true, "matmul_tb")
     }
 
     /// Panicking wrapper over [`Tensor::try_matmul_tb`].
@@ -278,67 +109,7 @@ impl Tensor {
     ///
     /// Bit-identical to `self.transpose().matmul(rhs)`.
     pub fn try_matmul_ta(&self, rhs: &Tensor) -> Result<Tensor> {
-        match (self.rank(), rhs.rank()) {
-            (2, 2) => {
-                let (m, k) = (self.shape[0], self.shape[1]);
-                let (m2, n) = (rhs.shape[0], rhs.shape[1]);
-                if m != m2 {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: self.shape.clone(),
-                        rhs: rhs.shape.clone(),
-                        op: "matmul_ta",
-                    });
-                }
-                // Output is [k, n]; the shared dimension is m.
-                let _s = matmul_span(1, k, m, n, true);
-                let mut out = vec![0.0f32; k * n];
-                matmul_strided_par(
-                    MatRef::dense_t(&self.data, k),
-                    MatRef::dense(&rhs.data, n),
-                    &mut out,
-                    k,
-                    m,
-                    n,
-                );
-                Ok(Tensor { data: out, shape: vec![k, n] })
-            }
-            (3, 3) => {
-                let (b, m, k) = (self.shape[0], self.shape[1], self.shape[2]);
-                let (b2, m2, n) = (rhs.shape[0], rhs.shape[1], rhs.shape[2]);
-                if m != m2 || b != b2 {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: self.shape.clone(),
-                        rhs: rhs.shape.clone(),
-                        op: "matmul_ta",
-                    });
-                }
-                let _s = matmul_span(b, k, m, n, false);
-                let mut out = vec![0.0f32; b * k * n];
-                let sample = k * n;
-                if sample > 0 {
-                    let grain = (PAR_GRAIN_FLOPS / (sample * m).max(1)).max(1);
-                    crate::par::par_rows_mut(&mut out, sample, grain, |b0, block| {
-                        for (i, ob) in block.chunks_mut(sample).enumerate() {
-                            let bi = b0 + i;
-                            gemm(
-                                MatRef::dense_t(&self.data[bi * m * k..(bi + 1) * m * k], k),
-                                MatRef::dense(&rhs.data[bi * m * n..(bi + 1) * m * n], n),
-                                ob,
-                                k,
-                                m,
-                                n,
-                            );
-                        }
-                    });
-                }
-                Ok(Tensor { data: out, shape: vec![b, k, n] })
-            }
-            _ => Err(TensorError::Invalid(format!(
-                "matmul_ta: unsupported rank combination {} @ {}",
-                self.rank(),
-                rhs.rank()
-            ))),
-        }
+        self.product(rhs, true, false, "matmul_ta")
     }
 
     /// Panicking wrapper over [`Tensor::try_matmul_ta`].
@@ -347,37 +118,87 @@ impl Tensor {
         self.try_matmul_ta(rhs).expect("matmul_ta: incompatible shapes")
     }
 
+    /// The one product path: `op(self) @ op(rhs)`, where `ta` / `tb`
+    /// read the stored operand as its transpose. Here `m` is the output
+    /// row count and `k` the shared dimension, whichever operand is
+    /// transposed. `ta` takes no shared rhs (`3 @ 2` is refused).
+    fn product(&self, rhs: &Tensor, ta: bool, tb: bool, op: &'static str) -> Result<Tensor> {
+        let (ra, rb) = (self.rank(), rhs.rank());
+        let batched = match (ra, rb) {
+            (2, 2) => false,
+            (3, 2) if !ta => false,
+            (3, 3) => true,
+            _ => {
+                return Err(TensorError::Invalid(format!(
+                    "{op}: unsupported rank combination {ra} @ {rb}"
+                )))
+            }
+        };
+        // Stored matrix dims of one lhs and one rhs entry.
+        let (ar, ac) = (self.shape[ra - 2], self.shape[ra - 1]);
+        let (br, bc) = (rhs.shape[rb - 2], rhs.shape[rb - 1]);
+        let (m, k) = if ta { (ac, ar) } else { (ar, ac) };
+        let (k2, n) = if tb { (bc, br) } else { (br, bc) };
+        let batch = if ra == 3 { self.shape[0] } else { 1 };
+        if k != k2 || (batched && rhs.shape[0] != batch) {
+            return Err(TensorError::ShapeMismatch {
+                lhs: self.shape.clone(),
+                rhs: rhs.shape.clone(),
+                op,
+            });
+        }
+        let _s = matmul_span(batch, m, k, n, !batched);
+        let mut out = vec![0.0f32; batch * m * n];
+        if !batched {
+            // Shared rhs: `[b,m,k] @ [k,n]` is exactly the 2-D product
+            // `[b·m,k] @ [k,n]`, so its output rows split like any other.
+            if batch * m > 0 && n > 0 {
+                let (a, b) = (view(&self.data, ac, ta), view(&rhs.data, bc, tb));
+                let grain = (PAR_GRAIN_FLOPS / (k * n).max(1)).max(1);
+                crate::par::par_rows_mut(&mut out, n, grain, |row0, block| {
+                    gemm(a.shifted(row0), b, block, block.len() / n, k, n);
+                });
+            }
+        } else if m * n > 0 {
+            // Batch entries are independent: partition them as "rows" of
+            // width m·n and run the serial kernel per entry in each block.
+            let sample = m * n;
+            let grain = (PAR_GRAIN_FLOPS / (sample * k).max(1)).max(1);
+            crate::par::par_rows_mut(&mut out, sample, grain, |b0, block| {
+                for (bi, ob) in (b0..).zip(block.chunks_mut(sample)) {
+                    let a = &self.data[bi * m * k..(bi + 1) * m * k];
+                    let b = &rhs.data[bi * k * n..(bi + 1) * k * n];
+                    gemm(view(a, ac, ta), view(b, bc, tb), ob, m, k, n);
+                }
+            });
+        }
+        let shape = if ra == 3 { vec![batch, m, n] } else { vec![m, n] };
+        Ok(Tensor { data: out, shape })
+    }
+
     /// 2-D transpose. For rank-3 tensors, swaps the last two axes
-    /// (batched transpose). Materialises a fresh buffer.
+    /// (batched transpose; rank 2 is one batch entry). Materialises a
+    /// fresh buffer.
+    ///
+    /// # Panics
+    /// Panics unless the rank is 2 or 3.
     pub fn transpose(&self) -> Tensor {
-        match self.rank() {
-            2 => {
-                let (m, n) = (self.shape[0], self.shape[1]);
-                let mut data = vec![0.0f32; m * n];
+        let r = self.rank();
+        assert!(r == 2 || r == 3, "transpose: expected rank 2 or 3 tensor, got rank {r}");
+        let (m, n) = (self.shape[r - 2], self.shape[r - 1]);
+        let mut data = vec![0.0f32; self.data.len()];
+        if m * n > 0 {
+            for (src, dst) in self.data.chunks_exact(m * n).zip(data.chunks_exact_mut(m * n)) {
                 for i in 0..m {
                     for j in 0..n {
-                        data[j * m + i] = self.data[i * n + j];
+                        dst[j * m + i] = src[i * n + j];
                     }
                 }
-                Tensor { data, shape: vec![n, m] }
             }
-            3 => {
-                let (b, m, n) = (self.shape[0], self.shape[1], self.shape[2]);
-                let mut data = vec![0.0f32; b * m * n];
-                for bi in 0..b {
-                    let src = &self.data[bi * m * n..(bi + 1) * m * n];
-                    let dst = &mut data[bi * m * n..(bi + 1) * m * n];
-                    for i in 0..m {
-                        for j in 0..n {
-                            dst[j * m + i] = src[i * n + j];
-                        }
-                    }
-                }
-                Tensor { data, shape: vec![b, n, m] }
-            }
-            // ts3-lint: allow(no-unwrap-in-lib) documented # Panics contract: transpose supports rank 2/3 only
-            r => panic!("transpose: expected rank 2 or 3 tensor, got rank {r}"),
         }
+        let mut shape = self.shape.clone();
+        shape.swap(r - 2, r - 1);
+        Tensor { data, shape }
     }
 
     /// General axis permutation (like `np.transpose(x, axes)`).
@@ -606,12 +427,12 @@ mod tests {
         let a = Tensor::randn(&[m, k], 1);
         let b = Tensor::randn(&[k, n], 2);
         let mut serial = vec![0.0f32; m * n];
-        matmul_block(a.as_slice(), b.as_slice(), &mut serial, m, k, n);
+        gemm(MatRef::dense(a.as_slice(), k), MatRef::dense(b.as_slice(), n), &mut serial, m, k, n);
         for threads in [2, 3, 7, 16] {
             let mut par = vec![0.0f32; m * n];
             crate::par::par_rows_mut_in(threads, &mut par, n, &|row0, block| {
-                let rows = block.len() / n;
-                matmul_block(&a.as_slice()[row0 * k..(row0 + rows) * k], b.as_slice(), block, rows, k, n);
+                let a = MatRef::dense(a.as_slice(), k).shifted(row0);
+                gemm(a, MatRef::dense(b.as_slice(), n), block, block.len() / n, k, n);
             });
             assert_eq!(
                 serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -631,9 +452,9 @@ mod tests {
         let w = Tensor::randn(&[b, k, n], 4);
         let mut serial = vec![0.0f32; b * m * n];
         for bi in 0..b {
-            matmul_block(
-                &x.as_slice()[bi * m * k..(bi + 1) * m * k],
-                &w.as_slice()[bi * k * n..(bi + 1) * k * n],
+            gemm(
+                MatRef::dense(&x.as_slice()[bi * m * k..(bi + 1) * m * k], k),
+                MatRef::dense(&w.as_slice()[bi * k * n..(bi + 1) * k * n], n),
                 &mut serial[bi * m * n..(bi + 1) * m * n],
                 m,
                 k,
@@ -677,7 +498,7 @@ mod tests {
                     let mut naive = vec![0.0f32; m * n];
                     matmul_block_naive(a.as_slice(), b.as_slice(), &mut naive, m, k, n);
                     let mut tiled = vec![0.0f32; m * n];
-                    matmul_block(a.as_slice(), b.as_slice(), &mut tiled, m, k, n);
+                    gemm(MatRef::dense(a.as_slice(), k), MatRef::dense(b.as_slice(), n), &mut tiled, m, k, n);
                     assert_eq!(bits(&naive), bits(&tiled), "m={m} k={k} n={n}");
                 }
             }
@@ -712,7 +533,7 @@ mod tests {
         let mut naive = vec![0.0f32; m * n];
         matmul_block_naive(&av, &bv, &mut naive, m, k, n);
         let mut tiled = vec![0.0f32; m * n];
-        matmul_block(&av, &bv, &mut tiled, m, k, n);
+        gemm(MatRef::dense(&av, k), MatRef::dense(&bv, n), &mut tiled, m, k, n);
         assert_eq!(bits(&naive), bits(&tiled));
     }
 
