@@ -101,31 +101,16 @@ pub fn spectrum_gradient_rows(src: &[f32], lambda: usize, t: usize, t_f: usize, 
     assert!(t_f >= 1, "sub-series length must be >= 1");
     assert_eq!(src.len(), lambda * t, "spectrum_gradient_rows: src length");
     assert_eq!(out.len(), lambda * t, "spectrum_gradient_rows: out length");
+    // Chunk i starts at i·t_f and only the last chunk can be short, so
+    // every column past the first chunk has its partner exactly t_f
+    // columns back: `S^i - S^{i-1}` is `row[j] - row[j - t_f]`.
+    let head = t_f.min(t);
     for li in 0..lambda {
         let row = &src[li * t..(li + 1) * t];
         let dst = &mut out[li * t..(li + 1) * t];
-        let mut start = 0usize;
-        let mut prev_start: Option<usize> = None;
-        while start < t {
-            let len = t_f.min(t - start);
-            let (head, tail) = dst[start..start + len].split_at_mut(match prev_start {
-                // S^{i-1} may be shorter than t_f at the tail; missing
-                // columns are treated as zero, i.e. passed through
-                // (`x - 0.0 == x` bitwise for every f32, so the copy
-                // below is exact).
-                Some(p) => len.min(start - p),
-                None => 0,
-            });
-            if let Some(p) = prev_start {
-                let cur = &row[start..start + head.len()];
-                let prev = &row[p..p + head.len()];
-                for ((d, &c), &pv) in head.iter_mut().zip(cur).zip(prev) {
-                    *d = c - pv;
-                }
-            }
-            tail.copy_from_slice(&row[start + head.len()..start + len]);
-            prev_start = Some(start);
-            start += len;
+        dst[..head].copy_from_slice(&row[..head]);
+        for ((d, &c), &prev) in dst[head..].iter_mut().zip(&row[head..]).zip(&row[..t - head]) {
+            *d = c - prev;
         }
     }
 }
