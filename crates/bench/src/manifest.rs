@@ -40,10 +40,10 @@ fn phases_json(spans: &[ts3_obs::SpanRec]) -> Json {
         .collect()
 }
 
-/// Write `results/<stem>.trace.json` for the run that just finished and
-/// honour `TS3_METRICS_OUT`. Returns `None` (and records nothing) when
-/// tracing is disabled, so untraced runs stay byte-identical to the
-/// pre-observability harness.
+/// Write `results/<stem>.trace.json` (with the run's metrics snapshot
+/// under `"metrics"`) for the run that just finished. Returns `None`
+/// (and records nothing) when tracing is disabled, so untraced runs stay
+/// byte-identical to the pre-observability harness.
 pub fn write_trace_manifest(
     stem: &str,
     profile: &RunProfile,
@@ -98,7 +98,6 @@ pub fn write_trace_manifest(
     // Span self-time in folded-stacks format rides along for flamegraph
     // tooling (`results/<stem>.folded`).
     std::fs::write(dir.join(format!("{stem}.folded")), ts3_obs::folded_stacks(&spans))?;
-    ts3_obs::export::write_metrics_out()?;
     Ok(Some(path))
 }
 

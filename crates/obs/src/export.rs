@@ -1,7 +1,7 @@
 //! The [`ts3_json`] sink: serialise the span tree and the metrics
 //! registry as `Json` documents (the schema documented in README
-//! §Observability), honour `TS3_METRICS_OUT`, and write the
-//! `ts3.bench.v1` rows every benchmark binary reports through.
+//! §Observability), and write the `ts3.bench.v1` rows every benchmark
+//! binary reports through.
 
 use crate::labels::{nearest_rank, MetricsSnapshot, HIST_BOUNDS};
 use crate::trace::{EventRec, FieldValue, SpanRec};
@@ -169,15 +169,6 @@ pub fn folded_stacks(spans: &[SpanRec]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// If `TS3_METRICS_OUT` is set, write the registry's zero-label series
-/// there as pretty JSON. Returns the path written.
-pub fn write_metrics_out() -> std::io::Result<Option<String>> {
-    let Some(path) = crate::gate::metrics_out() else { return Ok(None) };
-    let doc = metrics_to_json(&crate::metrics_snapshot());
-    std::fs::write(&path, doc.to_string_pretty())?;
-    Ok(Some(path))
 }
 
 /// One `(op, shape)` row of a `ts3.bench.v1` document. `median_ns` is

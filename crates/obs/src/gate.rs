@@ -62,14 +62,6 @@ pub fn explicitly_silent() -> bool {
     *SILENT.get_or_init(|| std::env::var("TS3_TRACE").map(|v| v.trim() == "0").unwrap_or(false))
 }
 
-/// The `TS3_METRICS_OUT` path, if set and non-empty: where the process
-/// should dump its metrics registry as JSON on completion.
-pub fn metrics_out() -> Option<String> {
-    static OUT: OnceLock<Option<String>> = OnceLock::new();
-    OUT.get_or_init(|| std::env::var("TS3_METRICS_OUT").ok().filter(|v| !v.trim().is_empty()))
-        .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

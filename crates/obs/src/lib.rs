@@ -42,9 +42,6 @@
 //! * `TS3_TRACE=2` — as level 1, plus a live human-readable echo of
 //!   every completed span and event on stderr.
 //!
-//! `TS3_METRICS_OUT=<path>` additionally asks the process to dump the
-//! registry's zero-label series as JSON to `<path>` (honoured by
-//! `ts3_bench::manifest` and by [`export::write_metrics_out`]).
 //! `TS3_TRACE_MAX_SPANS=<n>` lowers the stored-span cap (default
 //! [`trace::MAX_SPANS`]) so long runs — benchmark loops in particular —
 //! produce compact manifests; overflow is counted in `dropped_records`,
@@ -92,7 +89,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use export::{bench_json, dump_json, folded_stacks, metrics_to_json, trace_to_json, BenchRow};
-pub use gate::{enabled, explicitly_silent, level, metrics_out, set_level, verbose};
+pub use gate::{enabled, explicitly_silent, level, set_level, verbose};
 pub use labels::{
     counter_add, counter_add_l, gauge_set, gauge_set_l, labeled_snapshot, metrics_snapshot,
     nearest_rank, observe, observe_l, reset_metrics, HistStats, LabeledSnapshot, MetricsSnapshot,
