@@ -750,19 +750,18 @@ mod tests {
         let batched = conv2d(&x, &wt, ph, pw);
         let mut serial = vec![0.0f32; batched.numel()];
         let sample = batched.numel() / b;
-        let wmat = wt.reshape(&[cout, cin * kh * kw]);
         let (k, p) = (cin * kh * kw, (h + 2 * ph + 1 - kh) * (w + 2 * pw + 1 - kw));
         for bi in 0..b {
             let cols = im2col(&x.index_axis(0, bi), kh, kw, ph, pw);
             let ob = &mut serial[bi * sample..(bi + 1) * sample];
-            gemm(MatRef::dense(wmat.as_slice(), k), MatRef::dense(cols.as_slice(), p), ob, cout, k, p);
+            gemm(MatRef::dense(wt.as_slice(), k), MatRef::dense(cols.as_slice(), p), ob, cout, k, p);
         }
         for threads in [1, 2, 3, 5, 8] {
             let mut par = vec![0.0f32; b * sample];
             crate::par::par_rows_mut_in(threads, &mut par, sample, &|b0, block| {
                 for (i, ob) in block.chunks_mut(sample).enumerate() {
                     let cols = im2col(&x.index_axis(0, b0 + i), kh, kw, ph, pw);
-                    gemm(MatRef::dense(wmat.as_slice(), k), MatRef::dense(cols.as_slice(), p), ob, cout, k, p);
+                    gemm(MatRef::dense(wt.as_slice(), k), MatRef::dense(cols.as_slice(), p), ob, cout, k, p);
                 }
             });
             assert_eq!(
