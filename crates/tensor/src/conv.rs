@@ -127,6 +127,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
     }
     // The weight is read in place as the `[Co, Ci·kh·kw]` matrix.
     let (k, p) = (cin * kh * kw, oh * ow);
+    let wmat = MatRef::dense(weight.as_slice(), k);
     let sample = cout * p;
     let in_sample = cin * h * w;
     let mut out = vec![0.0f32; b * sample];
@@ -138,7 +139,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
                 for (i, ob) in block.chunks_mut(sample).enumerate() {
                     let x = &src[(b0 + i) * in_sample..(b0 + i + 1) * in_sample];
                     im2col_into(x, cin, h, w, kh, kw, ph, pw, cols);
-                    gemm(MatRef::dense(weight.as_slice(), k), MatRef::dense(cols, p), ob, cout, k, p);
+                    gemm(wmat, MatRef::dense(cols, p), ob, cout, k, p);
                 }
             });
         });
@@ -751,17 +752,18 @@ mod tests {
         let mut serial = vec![0.0f32; batched.numel()];
         let sample = batched.numel() / b;
         let (k, p) = (cin * kh * kw, (h + 2 * ph + 1 - kh) * (w + 2 * pw + 1 - kw));
+        let wmat = MatRef::dense(wt.as_slice(), k);
         for bi in 0..b {
             let cols = im2col(&x.index_axis(0, bi), kh, kw, ph, pw);
             let ob = &mut serial[bi * sample..(bi + 1) * sample];
-            gemm(MatRef::dense(wt.as_slice(), k), MatRef::dense(cols.as_slice(), p), ob, cout, k, p);
+            gemm(wmat, MatRef::dense(cols.as_slice(), p), ob, cout, k, p);
         }
         for threads in [1, 2, 3, 5, 8] {
             let mut par = vec![0.0f32; b * sample];
             crate::par::par_rows_mut_in(threads, &mut par, sample, &|b0, block| {
                 for (i, ob) in block.chunks_mut(sample).enumerate() {
                     let cols = im2col(&x.index_axis(0, b0 + i), kh, kw, ph, pw);
-                    gemm(MatRef::dense(wt.as_slice(), k), MatRef::dense(cols.as_slice(), p), ob, cout, k, p);
+                    gemm(wmat, MatRef::dense(cols.as_slice(), p), ob, cout, k, p);
                 }
             });
             assert_eq!(

@@ -51,7 +51,11 @@ fn matmul_span(b: usize, m: usize, k: usize, n: usize, shared_rhs: bool) -> ts3_
 
 /// Row-major view of a stored `[rows, cols]` matrix, transposed when `t`.
 fn view(data: &[f32], cols: usize, t: bool) -> MatRef<'_> {
-    if t { MatRef::dense_t(data, cols) } else { MatRef::dense(data, cols) }
+    if t {
+        MatRef::dense_t(data, cols)
+    } else {
+        MatRef::dense(data, cols)
+    }
 }
 
 impl Tensor {
@@ -118,7 +122,11 @@ impl Tensor {
             (2, 2) => false,
             (3, 2) if !ta => false,
             (3, 3) => true,
-            _ => return Err(TensorError::Invalid(format!("{op}: unsupported rank combination {ra} @ {rb}"))),
+            _ => {
+                return Err(TensorError::Invalid(format!(
+                    "{op}: unsupported rank combination {ra} @ {rb}"
+                )))
+            }
         };
         // Stored matrix dims of one lhs and one rhs entry.
         let (ar, ac) = (self.shape[ra - 2], self.shape[ra - 1]);
@@ -127,7 +135,11 @@ impl Tensor {
         let (k2, n) = if tb { (bc, br) } else { (br, bc) };
         let batch = if ra == 3 { self.shape[0] } else { 1 };
         if k != k2 || (batched && rhs.shape[0] != batch) {
-            return Err(TensorError::ShapeMismatch { lhs: self.shape.clone(), rhs: rhs.shape.clone(), op });
+            return Err(TensorError::ShapeMismatch {
+                lhs: self.shape.clone(),
+                rhs: rhs.shape.clone(),
+                op,
+            });
         }
         let _s = matmul_span(batch, m, k, n, !batched);
         let mut out = vec![0.0f32; batch * m * n];
@@ -159,6 +171,9 @@ impl Tensor {
     /// 2-D transpose. For rank-3 tensors, swaps the last two axes
     /// (batched transpose): the [`Tensor::permute`] of the last two
     /// axes. Materialises a fresh buffer.
+    ///
+    /// # Panics
+    /// Panics unless the rank is 2 or 3.
     pub fn transpose(&self) -> Tensor {
         match self.rank() {
             2 => self.permute(&[1, 0]),
@@ -299,11 +314,35 @@ mod tests {
     }
 
     #[test]
+    fn matmul_identity_preserves() {
+        let a = t(vec![3.0, -1.0, 2.0, 0.5], &[2, 2]);
+        assert_eq!(a.matmul(&Tensor::eye(2)).as_slice(), a.as_slice());
+    }
+
+    #[test]
+    fn matmul_batched_shared_rhs() {
+        let a = Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[2, 2, 3]);
+        let w = Tensor::eye(3);
+        let c = a.matmul(&w);
+        assert_eq!(c.shape(), &[2, 2, 3]);
+        assert_eq!(c.as_slice(), a.as_slice());
+    }
+
+    #[test]
     fn matmul_fully_batched() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0, 1.0, 0.0, 0.0, 1.0], &[2, 2, 2]);
         let b = t(vec![1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0], &[2, 2, 2]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[1.0, 2.0, 3.0, 4.0, 2.0, 0.0, 0.0, 2.0]);
+    }
+
+    #[test]
+    fn matmul_shape_mismatch_errors() {
+        let a = Tensor::ones(&[2, 3]);
+        let b = Tensor::ones(&[2, 3]);
+        assert!(a.try_matmul(&b).is_err());
+        let c = Tensor::ones(&[2]);
+        assert!(a.try_matmul(&c).is_err());
     }
 
     #[test]
@@ -388,6 +427,33 @@ mod tests {
         assert_eq!(c.as_slice(), &serial[..]);
     }
 
+    #[test]
+    fn parallel_batched_matmul_bit_identical_to_serial() {
+        let (b, m, k, n) = (6, 19, 13, 17);
+        let x = Tensor::randn(&[b, m, k], 3);
+        let w = Tensor::randn(&[b, k, n], 4);
+        let mut serial = vec![0.0f32; b * m * n];
+        for bi in 0..b {
+            gemm(
+                MatRef::dense(&x.as_slice()[bi * m * k..(bi + 1) * m * k], k),
+                MatRef::dense(&w.as_slice()[bi * k * n..(bi + 1) * k * n], n),
+                &mut serial[bi * m * n..(bi + 1) * m * n],
+                m,
+                k,
+                n,
+            );
+        }
+        let got = x.matmul(&w);
+        assert_eq!(
+            serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            got.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        // Shared-rhs flattening: [b,m,k] @ [k,n] == reshape([b*m,k]) @ [k,n].
+        let w2 = Tensor::randn(&[k, n], 5);
+        let flat = x.reshape(&[b * m, k]).matmul(&w2);
+        assert_eq!(x.matmul(&w2).as_slice(), flat.as_slice());
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -414,7 +480,8 @@ mod tests {
                     let mut naive = vec![0.0f32; m * n];
                     matmul_block_naive(a.as_slice(), b.as_slice(), &mut naive, m, k, n);
                     let mut tiled = vec![0.0f32; m * n];
-                    gemm(MatRef::dense(a.as_slice(), k), MatRef::dense(b.as_slice(), n), &mut tiled, m, k, n);
+                    let (av, bv) = (MatRef::dense(a.as_slice(), k), MatRef::dense(b.as_slice(), n));
+                    gemm(av, bv, &mut tiled, m, k, n);
                     assert_eq!(bits(&naive), bits(&tiled), "m={m} k={k} n={n}");
                 }
             }
@@ -501,5 +568,14 @@ mod tests {
             bits(x.matmul_ta(&g).as_slice())
         );
         assert!(x.try_matmul_ta(&Tensor::ones(&[4, 8, 9])).is_err());
+    }
+
+    #[test]
+    fn matmul_associativity_with_identity_chain() {
+        let a = t(vec![2.0, 1.0, 0.0, 3.0], &[2, 2]);
+        let i = Tensor::eye(2);
+        let left = a.matmul(&i).matmul(&a);
+        let right = a.matmul(&i.matmul(&a));
+        assert!(left.allclose(&right, 1e-5));
     }
 }
