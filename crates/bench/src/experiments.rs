@@ -179,7 +179,7 @@ pub const EXPERIMENTS: [Experiment; 11] = [
 pub struct Run {
     /// The experiment to run.
     pub experiment: &'static Experiment,
-    /// The compute profile (flag, else `TS3_PROFILE`, else quick).
+    /// The compute profile (`--smoke` / `--quick` / `--full`, else quick).
     pub profile: RunProfile,
     /// Datasets selected by positional arguments (empty: all of them).
     pub datasets: Vec<&'static str>,

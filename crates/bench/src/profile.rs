@@ -7,7 +7,7 @@
 //! * `quick` — the default; minutes per table, preserves orderings;
 //! * `full`  — closest to the paper's protocol that the CPU budget allows.
 //!
-//! Select with `--smoke` / `--full` CLI flags or `TS3_PROFILE=smoke|quick|full`.
+//! Select with the `--smoke` / `--quick` / `--full` CLI flags.
 
 /// Compute/duration profile for experiment runs.
 #[derive(Debug, Clone)]
@@ -85,37 +85,15 @@ impl RunProfile {
         }
     }
 
-    /// Resolve the profile from CLI args + environment.
+    /// Resolve the profile from the CLI flags (default: quick).
     pub fn from_args(args: &[String]) -> Self {
         let flag = args.iter().find_map(|a| match a.as_str() {
-            "--smoke" => Some("smoke"),
-            "--quick" => Some("quick"),
-            "--full" => Some("full"),
+            "--smoke" => Some(Self::smoke()),
+            "--quick" => Some(Self::quick()),
+            "--full" => Some(Self::full()),
             _ => None,
         });
-        let env = std::env::var("TS3_PROFILE").ok();
-        let mut profile = match flag.or(env.as_deref()) {
-            Some("smoke") => Self::smoke(),
-            Some("full") => Self::full(),
-            _ => Self::quick(),
-        };
-        // Fine-grained overrides for calibration runs.
-        if let Ok(v) = std::env::var("TS3_EPOCHS") {
-            if let Ok(n) = v.parse() {
-                profile.epochs = n;
-            }
-        }
-        if let Ok(v) = std::env::var("TS3_MAX_TRAIN") {
-            if let Ok(n) = v.parse() {
-                profile.max_train_batches = Some(n);
-            }
-        }
-        if let Ok(v) = std::env::var("TS3_LR") {
-            if let Ok(n) = v.parse() {
-                profile.lr = n;
-            }
-        }
-        profile
+        flag.unwrap_or_else(Self::quick)
     }
 }
 

@@ -1,8 +1,12 @@
-//! The train/evaluate loop shared by every experiment: Adam with the
-//! paper's schedule, early stopping on validation loss (patience 3), and
-//! MSE/MAE test metrics.
+//! The train/evaluate protocol shared by every experiment. One fit loop
+//! (`fit`: Adam with the paper's halving schedule, early stopping on
+//! validation MSE) trains both forecasters and imputers, and one scoring
+//! loop (`score`: batch-weighted MSE/MAE over a split) backs both
+//! evaluators and both reference baselines. The public functions differ
+//! only in the batch loss, the per-batch metric and their seeds.
 
 use crate::profile::RunProfile;
+use ts3_autograd::{Param, Var};
 use ts3_data::{mask_batch, ForecastTask, SeriesSpec, Split};
 use ts3_nn::{lr_type1, mae, masked_mae, masked_mse, mse, Adam, Average, Ctx, Optimizer};
 use ts3_tensor::Tensor;
@@ -62,16 +66,10 @@ pub fn eval_forecaster(
 ) -> CellResult {
     let _s = ts3_obs::span("bench.eval_forecaster");
     let mut ctx = Ctx::eval();
-    let mut m1 = Average::new();
-    let mut m2 = Average::new();
-    let batches = task.epoch_batches(split, profile.batch_size, 0, profile.max_eval_batches);
-    for idx in &batches {
-        let (x, y) = task.batch(split, idx);
+    score(task, split, profile, |_, x, y| {
         let pred = model.forecast(&x, &mut ctx);
-        m1.push_weighted(mse(pred.value(), &y), idx.len() as f32);
-        m2.push_weighted(mae(pred.value(), &y), idx.len() as f32);
-    }
-    CellResult { mse: m1.mean(), mae: m2.mean() }
+        (mse(pred.value(), &y), mae(pred.value(), &y))
+    })
 }
 
 /// Train a forecaster with early stopping and return test metrics.
@@ -85,56 +83,17 @@ pub fn train_forecaster(
         _s.field("epochs", profile.epochs);
         _s.field("lr", profile.lr);
     }
-    let mut opt = Adam::new(model.parameters(), profile.lr);
-    let mut ctx = Ctx::train(profile.seed);
-    let mut best_val = f32::INFINITY;
-    let mut bad_epochs = 0usize;
-    let mut stop_reason = "epochs_exhausted";
-    let mut stop_epoch = 0usize;
-    for epoch in 0..profile.epochs {
-        stop_epoch = epoch;
-        let lr = lr_type1(profile.lr, epoch);
-        opt.set_lr(lr);
-        let batches = task.epoch_batches(
-            Split::Train,
-            profile.batch_size,
-            profile.seed + epoch as u64,
-            profile.max_train_batches,
-        );
-        let mut train_loss = Average::new();
-        for idx in &batches {
+    fit(
+        model.parameters(),
+        task,
+        profile,
+        |epoch| profile.seed + epoch as u64,
+        |_, _, idx, ctx| {
             let (x, y) = task.batch(Split::Train, idx);
-            let loss = model.forecast(&x, &mut ctx).mse_loss(&y);
-            train_loss.push_weighted(loss.value().item(), idx.len() as f32);
-            opt.zero_grad();
-            loss.backward();
-            opt.clip_grad_norm(5.0);
-            opt.step();
-        }
-        let val = eval_forecaster(model, task, Split::Val, profile);
-        if val.mse < best_val - 1e-6 {
-            best_val = val.mse;
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-        }
-        ts3_obs::event("epoch", |f| {
-            f.set("epoch", epoch);
-            f.set("loss", train_loss.mean());
-            f.set("lr", lr);
-            f.set("val_mse", val.mse);
-            f.set("bad_epochs", bad_epochs);
-        });
-        if bad_epochs >= profile.patience {
-            stop_reason = "patience"; // early stopping (paper: patience 3)
-            break;
-        }
-    }
-    ts3_obs::event("early_stop", |f| {
-        f.set("reason", stop_reason);
-        f.set("epoch", stop_epoch);
-        f.set("best_val", best_val);
-    });
+            model.forecast(&x, ctx).mse_loss(&y)
+        },
+        || eval_forecaster(model, task, Split::Val, profile).mse,
+    );
     eval_forecaster(model, task, Split::Test, profile)
 }
 
@@ -148,17 +107,14 @@ pub fn eval_imputer(
 ) -> CellResult {
     let _s = ts3_obs::span("bench.eval_imputer");
     let mut ctx = Ctx::eval();
-    let mut m1 = Average::new();
-    let mut m2 = Average::new();
-    let batches = task.epoch_batches(split, profile.batch_size, 0, profile.max_eval_batches);
-    for (bi, idx) in batches.iter().enumerate() {
-        let (x, _) = task.batch(split, idx);
+    score(task, split, profile, |bi, x, _| {
         let mb = mask_batch(&x, ratio, profile.seed + bi as u64);
         let pred = model.impute(&mb.masked, &mb.mask, &mut ctx);
-        m1.push_weighted(masked_mse(pred.value(), &mb.target, &mb.mask), idx.len() as f32);
-        m2.push_weighted(masked_mae(pred.value(), &mb.target, &mb.mask), idx.len() as f32);
-    }
-    CellResult { mse: m1.mean(), mae: m2.mean() }
+        (
+            masked_mse(pred.value(), &mb.target, &mb.mask),
+            masked_mae(pred.value(), &mb.target, &mb.mask),
+        )
+    })
 }
 
 /// Train an imputer at a mask ratio and return masked test metrics.
@@ -174,7 +130,59 @@ pub fn train_imputer(
         _s.field("lr", profile.lr);
         _s.field("ratio", ratio);
     }
-    let mut opt = Adam::new(model.parameters(), profile.lr);
+    fit(
+        model.parameters(),
+        task,
+        profile,
+        |epoch| profile.seed + 31 * epoch as u64,
+        |epoch, bi, idx, ctx| {
+            let (x, _) = task.batch(Split::Train, idx);
+            let mb = mask_batch(&x, ratio, profile.seed + (epoch * 1000 + bi) as u64);
+            model.impute(&mb.masked, &mb.mask, ctx).masked_mse_loss(&mb.target, &mb.mask)
+        },
+        || eval_imputer(model, task, Split::Val, ratio, profile).mse,
+    );
+    eval_imputer(model, task, Split::Test, ratio, profile)
+}
+
+/// Mean-fill reference error for imputation (the "do nothing smart"
+/// floor used in sanity tests).
+pub fn mean_fill_baseline(task: &ForecastTask, ratio: f32, profile: &RunProfile) -> CellResult {
+    score(task, Split::Test, profile, |bi, x, _| {
+        let mb = mask_batch(&x, ratio, profile.seed + bi as u64);
+        let filled = ts3_baselines::mean_fill(&mb.masked, &mb.mask);
+        (
+            masked_mse(&filled, &mb.target, &mb.mask),
+            masked_mae(&filled, &mb.target, &mb.mask),
+        )
+    })
+}
+
+/// Persistence (repeat-last-value) forecasting reference.
+pub fn persistence_baseline(task: &ForecastTask, profile: &RunProfile) -> CellResult {
+    score(task, Split::Test, profile, |_, x, y| {
+        let last = x.narrow(1, x.shape()[1] - 1, 1);
+        let pred: Tensor = last.repeat_axis(1, task.horizon);
+        (mse(&pred, &y), mae(&pred, &y))
+    })
+}
+
+/// The paper's training protocol, written once: Adam from `profile.lr`,
+/// halved each epoch (`lr_type1`), gradient norms clipped at 5, and
+/// early stopping once `val_mse()` has not beaten its best by 1e-6 for
+/// `profile.patience` epochs in a row. Epoch `e` walks the train
+/// batches shuffled with seed `shuffle_seed(e)`, and
+/// `batch_loss(e, bi, idx, ctx)` is batch `bi`'s loss. Emits one
+/// `epoch` event per epoch and one `early_stop` event at the end.
+fn fit(
+    params: Vec<Param>,
+    task: &ForecastTask,
+    profile: &RunProfile,
+    shuffle_seed: impl Fn(usize) -> u64,
+    mut batch_loss: impl FnMut(usize, usize, &[usize], &mut Ctx) -> Var,
+    mut val_mse: impl FnMut() -> f32,
+) {
+    let mut opt = Adam::new(params, profile.lr);
     let mut ctx = Ctx::train(profile.seed);
     let mut best_val = f32::INFINITY;
     let mut bad_epochs = 0usize;
@@ -187,25 +195,21 @@ pub fn train_imputer(
         let batches = task.epoch_batches(
             Split::Train,
             profile.batch_size,
-            profile.seed + 31 * epoch as u64,
+            shuffle_seed(epoch),
             profile.max_train_batches,
         );
         let mut train_loss = Average::new();
         for (bi, idx) in batches.iter().enumerate() {
-            let (x, _) = task.batch(Split::Train, idx);
-            let mb = mask_batch(&x, ratio, profile.seed + (epoch * 1000 + bi) as u64);
-            let loss = model
-                .impute(&mb.masked, &mb.mask, &mut ctx)
-                .masked_mse_loss(&mb.target, &mb.mask);
+            let loss = batch_loss(epoch, bi, idx, &mut ctx);
             train_loss.push_weighted(loss.value().item(), idx.len() as f32);
             opt.zero_grad();
             loss.backward();
             opt.clip_grad_norm(5.0);
             opt.step();
         }
-        let val = eval_imputer(model, task, Split::Val, ratio, profile);
-        if val.mse < best_val - 1e-6 {
-            best_val = val.mse;
+        let val = val_mse();
+        if val < best_val - 1e-6 {
+            best_val = val;
             bad_epochs = 0;
         } else {
             bad_epochs += 1;
@@ -214,11 +218,11 @@ pub fn train_imputer(
             f.set("epoch", epoch);
             f.set("loss", train_loss.mean());
             f.set("lr", lr);
-            f.set("val_mse", val.mse);
+            f.set("val_mse", val);
             f.set("bad_epochs", bad_epochs);
         });
         if bad_epochs >= profile.patience {
-            stop_reason = "patience";
+            stop_reason = "patience"; // early stopping (paper: patience 3)
             break;
         }
     }
@@ -227,37 +231,25 @@ pub fn train_imputer(
         f.set("epoch", stop_epoch);
         f.set("best_val", best_val);
     });
-    eval_imputer(model, task, Split::Test, ratio, profile)
 }
 
-/// Mean-fill reference error for imputation (the "do nothing smart"
-/// floor used in sanity tests).
-pub fn mean_fill_baseline(task: &ForecastTask, ratio: f32, profile: &RunProfile) -> CellResult {
+/// The one scoring loop: the first `profile.max_eval_batches` batches
+/// of `split` in order, each scored `(mse, mae)` by `batch(bi, x, y)`
+/// and averaged weighted by batch size.
+fn score(
+    task: &ForecastTask,
+    split: Split,
+    profile: &RunProfile,
+    mut batch: impl FnMut(usize, Tensor, Tensor) -> (f32, f32),
+) -> CellResult {
     let mut m1 = Average::new();
     let mut m2 = Average::new();
-    let batches = task.epoch_batches(Split::Test, profile.batch_size, 0, profile.max_eval_batches);
+    let batches = task.epoch_batches(split, profile.batch_size, 0, profile.max_eval_batches);
     for (bi, idx) in batches.iter().enumerate() {
-        let (x, _) = task.batch(Split::Test, idx);
-        let mb = mask_batch(&x, ratio, profile.seed + bi as u64);
-        let filled = ts3_baselines::mean_fill(&mb.masked, &mb.mask);
-        m1.push_weighted(masked_mse(&filled, &mb.target, &mb.mask), idx.len() as f32);
-        m2.push_weighted(masked_mae(&filled, &mb.target, &mb.mask), idx.len() as f32);
-    }
-    CellResult { mse: m1.mean(), mae: m2.mean() }
-}
-
-/// Persistence (repeat-last-value) forecasting reference.
-pub fn persistence_baseline(task: &ForecastTask, profile: &RunProfile) -> CellResult {
-    let mut m1 = Average::new();
-    let mut m2 = Average::new();
-    let horizon = task.horizon;
-    let batches = task.epoch_batches(Split::Test, profile.batch_size, 0, profile.max_eval_batches);
-    for idx in &batches {
-        let (x, y) = task.batch(Split::Test, idx);
-        let last = x.narrow(1, x.shape()[1] - 1, 1);
-        let pred: Tensor = last.repeat_axis(1, horizon);
-        m1.push_weighted(mse(&pred, &y), idx.len() as f32);
-        m2.push_weighted(mae(&pred, &y), idx.len() as f32);
+        let (x, y) = task.batch(split, idx);
+        let (mse, mae) = batch(bi, x, y);
+        m1.push_weighted(mse, idx.len() as f32);
+        m2.push_weighted(mae, idx.len() as f32);
     }
     CellResult { mse: m1.mean(), mae: m2.mean() }
 }

@@ -50,14 +50,22 @@ fn trained_linear_model_beats_persistence_on_periodic_data() {
 }
 
 #[test]
-fn profile_env_overrides_apply() {
-    std::env::set_var("TS3_EPOCHS", "7");
-    std::env::set_var("TS3_LR", "0.0123");
-    let p = RunProfile::from_args(&["--smoke".to_string()]);
-    std::env::remove_var("TS3_EPOCHS");
-    std::env::remove_var("TS3_LR");
-    assert_eq!(p.epochs, 7);
-    assert!((p.lr - 0.0123).abs() < 1e-6);
+fn profile_is_the_first_flag_preset_unmodified() {
+    // The first profile flag, wherever it sits among the positional
+    // arguments, picks the preset; nothing overrides its fields.
+    for (flag, preset) in [
+        ("--smoke", RunProfile::smoke()),
+        ("--quick", RunProfile::quick()),
+        ("--full", RunProfile::full()),
+    ] {
+        let args: Vec<String> =
+            ["table4", flag, "ETTh1", "--smoke"].iter().map(|a| a.to_string()).collect();
+        let p = RunProfile::from_args(&args);
+        assert_eq!(p.name, preset.name);
+        assert_eq!(p.epochs, preset.epochs);
+        assert_eq!(p.lr.to_bits(), preset.lr.to_bits());
+        assert_eq!(p.max_train_batches, preset.max_train_batches);
+    }
 }
 
 #[test]

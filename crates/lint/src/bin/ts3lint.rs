@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use ts3_json::Json;
-use ts3_lint::{lint_workspace_v2, now_us, report_v2, Config, Severity, ALL_RULES};
+use ts3_lint::{lint_workspace, now_us, report, Config, Severity, ALL_RULES};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -117,7 +117,7 @@ fn main() -> ExitCode {
     };
 
     let t0 = now_us();
-    let run = match lint_workspace_v2(&root, &cfg, &rules) {
+    let run = match lint_workspace(&root, &cfg, &rules) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("ts3lint: {e}");
@@ -156,7 +156,7 @@ fn main() -> ExitCode {
         } else {
             rules.iter().map(String::as_str).collect()
         };
-        let doc = report_v2(
+        let doc = report(
             &diags,
             checked,
             &selected,

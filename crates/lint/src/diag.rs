@@ -1,5 +1,5 @@
 //! Diagnostics: the finding type, rustc-style text rendering, and the
-//! `ts3.lint.v1` / `ts3.lint.v2` JSON reports.
+//! `ts3.lint.v2` JSON report.
 
 use std::collections::BTreeMap;
 use ts3_json::Json;
@@ -64,7 +64,7 @@ impl Diagnostic {
         )
     }
 
-    /// Lower to one `ts3.lint.v1` diagnostics entry.
+    /// Lower to one report `diagnostics` entry.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("rule", Json::from(self.rule)),
@@ -78,40 +78,14 @@ impl Diagnostic {
     }
 }
 
-/// Build the full `ts3.lint.v1` report document.
+/// Build the `ts3.lint.v2` report document: the findings, the rules
+/// run, the resolved crate dependency DAG and per-rule wall times.
 ///
 /// `deny_all` is recorded so a consumer knows which policy produced the
 /// exit status; `checked_files` makes "0 diagnostics" distinguishable
-/// from "0 files walked".
+/// from "0 files walked". `trace_check --lint` validates this schema in
+/// the verify pipeline.
 pub fn report(
-    diags: &[Diagnostic],
-    checked_files: usize,
-    rules: &[&str],
-    deny_all: bool,
-) -> Json {
-    let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
-    let warnings = diags.len() - errors;
-    Json::obj([
-        ("schema", Json::from("ts3.lint.v1")),
-        ("deny_all", Json::from(deny_all)),
-        ("checked_files", Json::from(checked_files)),
-        ("rules", Json::Arr(rules.iter().map(|r| Json::from(*r)).collect())),
-        ("diagnostics", Json::Arr(diags.iter().map(Diagnostic::to_json).collect())),
-        (
-            "summary",
-            Json::obj([
-                ("errors", Json::from(errors)),
-                ("warnings", Json::from(warnings)),
-            ]),
-        ),
-    ])
-}
-
-/// Build the `ts3.lint.v2` report document: everything `ts3.lint.v1`
-/// carries, plus the resolved crate dependency DAG and per-rule wall
-/// times. `trace_check --lint` validates this schema in the verify
-/// pipeline.
-pub fn report_v2(
     diags: &[Diagnostic],
     checked_files: usize,
     rules: &[&str],

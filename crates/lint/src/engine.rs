@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 /// Every rule id, in reporting order: eight per-file contract rules,
 /// three workspace-graph rules (which only run under
-/// [`crate::lint_workspace_v2`] — they need the whole file set), the
+/// [`crate::lint_workspace`] — they need the whole file set), the
 /// config cross-check, and the two directive meta-rules.
 pub const ALL_RULES: &[&str] = &[
     "unsafe-needs-safety",
@@ -537,7 +537,7 @@ pub(crate) fn directive_hygiene(
 /// allow directives, and report directive hygiene. The workspace-graph
 /// rules (`crate-layering`, `lock-order`, `config-liveness` and the
 /// cross-file half of `env-registry`) need the whole file set and only
-/// run under [`crate::lint_workspace_v2`].
+/// run under [`crate::lint_workspace`].
 ///
 /// `selected` filters rules by id; empty means "all".
 pub fn lint_file(ctx: &FileCtx, selected: &[String]) -> Vec<Diagnostic> {

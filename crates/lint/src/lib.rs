@@ -30,7 +30,7 @@
 //! | `unused-allow` | stale allow directives are reported |
 //!
 //! Graph rules run over the whole workspace after per-file symbol
-//! extraction ([`lint_workspace_v2`]):
+//! extraction ([`lint_workspace`]):
 //!
 //! | id | contract |
 //! |---|---|
@@ -55,11 +55,11 @@
 //!
 //! ## Entry points
 //!
-//! [`lint_workspace_v2`] walks the configured roots, runs both passes
+//! [`lint_workspace`] walks the configured roots, runs both passes
 //! and returns a [`LintRun`] (diagnostics, crate DAG, per-rule
-//! timings); [`lint_workspace`] is the flat compatibility wrapper. The
+//! timings); [`lint_source`] runs the per-file rules on one text. The
 //! `ts3lint` binary renders findings rustc-style or as a `ts3.lint.v2`
-//! JSON document (`--json`).
+//! JSON document (`--json`, built by [`report`]).
 
 pub mod clock;
 pub mod config;
@@ -73,8 +73,8 @@ pub mod walk;
 
 pub use clock::now_us;
 pub use config::Config;
-pub use diag::{report, report_v2, Diagnostic, Severity};
-pub use engine::{lint_file as lint_tokens, FileCtx, ALL_RULES};
+pub use diag::{report, Diagnostic, Severity};
+pub use engine::{FileCtx, ALL_RULES};
 pub use walk::{classify, discover, FileKind, SourceFile};
 
 use std::collections::BTreeMap;
@@ -117,7 +117,7 @@ pub struct LintRun {
 /// (`allow-needs-reason`, `unused-allow`) closes the run.
 ///
 /// `selected` restricts to the named rules; empty runs everything.
-pub fn lint_workspace_v2(
+pub fn lint_workspace(
     workspace_root: &Path,
     cfg: &Config,
     selected: &[String],
@@ -157,18 +157,4 @@ pub fn lint_workspace_v2(
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
     Ok(LintRun { diags, checked_files: files.len(), crate_dag, rule_timing_us: timing })
-}
-
-/// Lint every `.rs` file under the configured roots of
-/// `workspace_root`. Returns the diagnostics (sorted by path, then
-/// position) and the number of files checked.
-///
-/// Compatibility wrapper over [`lint_workspace_v2`].
-pub fn lint_workspace(
-    workspace_root: &Path,
-    cfg: &Config,
-    selected: &[String],
-) -> std::io::Result<(Vec<Diagnostic>, usize)> {
-    let run = lint_workspace_v2(workspace_root, cfg, selected)?;
-    Ok((run.diags, run.checked_files))
 }

@@ -6,7 +6,7 @@
 //! stay quiet.
 
 use std::path::{Path, PathBuf};
-use ts3_lint::{lint_workspace_v2, Config, FileKind};
+use ts3_lint::{lint_workspace, Config, FileKind};
 
 /// Create a fresh fixture workspace directory for `name`.
 fn fixture_root(name: &str) -> PathBuf {
@@ -56,7 +56,7 @@ fn layered_workspace(name: &str, invert: bool) -> PathBuf {
 }
 
 fn run(root: &Path, cfg: &Config, rule: &str) -> Vec<ts3_lint::Diagnostic> {
-    lint_workspace_v2(root, cfg, &[rule.to_string()]).unwrap().diags
+    lint_workspace(root, cfg, &[rule.to_string()]).unwrap().diags
 }
 
 #[test]
@@ -78,7 +78,7 @@ fn crate_layering_flags_manifest_and_use_back_edges() {
 #[test]
 fn crate_layering_accepts_a_layered_workspace() {
     let root = layered_workspace("layering-good", false);
-    let out = lint_workspace_v2(&root, &Config::default(), &["crate-layering".to_string()])
+    let out = lint_workspace(&root, &Config::default(), &["crate-layering".to_string()])
         .unwrap();
     assert!(out.diags.is_empty(), "{:?}", out.diags);
     // The resolved DAG records high -> low.

@@ -16,10 +16,11 @@ fn workspace_is_lint_clean_under_committed_config() {
     let root = workspace_root();
     let cfg_text = std::fs::read_to_string(root.join("ts3lint.json")).expect("read ts3lint.json");
     let cfg = Config::parse(&cfg_text).expect("parse ts3lint.json");
-    let (diags, files) = lint_workspace(root, &cfg, &[]).expect("walk workspace");
+    let run = lint_workspace(root, &cfg, &[]).expect("walk workspace");
+    let files = run.checked_files;
     assert!(files > 100, "walk saw only {files} files — roots misconfigured?");
-    let rendered: String = diags.iter().map(|d| d.render()).collect();
-    assert!(diags.is_empty(), "workspace must be lint-clean:\n{rendered}");
+    let rendered: String = run.diags.iter().map(|d| d.render()).collect();
+    assert!(run.diags.is_empty(), "workspace must be lint-clean:\n{rendered}");
 }
 
 #[test]

@@ -245,7 +245,7 @@ impl CwtPlan {
         // Inverse-transform weights: delta-s_i / s_i^{3/2}, then calibrate
         // the global admissibility constant against a broadband reference
         // so that IWT(Re(WT(x))) ~= x.
-        let mut recon: Vec<f32> = (0..lambda)
+        let recon: Vec<f32> = (0..lambda)
             .map(|i| {
                 let ds = if i + 1 < lambda {
                     scales[i] - scales[i + 1]
@@ -264,20 +264,20 @@ impl CwtPlan {
             fft_lens,
             filt_fwd,
             filt_adj,
-            recon: recon.clone(),
+            recon,
             plans,
             rplans,
         };
         let c = plan.calibrate_reconstruction();
-        for w in recon.iter_mut() {
+        for w in plan.recon.iter_mut() {
             *w *= c;
         }
-        plan.recon = recon;
         plan
     }
 
     /// Least-squares calibration of the reconstruction constant using a
-    /// deterministic broadband reference signal.
+    /// deterministic broadband reference signal, against the plan's
+    /// still-uncalibrated `Δs_i / s_i^{3/2}` weights.
     fn calibrate_reconstruction(&self) -> f32 {
         let t = self.t_len;
         // Deterministic pseudo-broadband reference: a sum of incommensurate
@@ -290,7 +290,7 @@ impl CwtPlan {
             .collect();
         let (re, _im) = self.forward_complex(&x);
         let mut y = vec![0.0f32; t];
-        self.inverse_acc(&re, &self.recon_unit(), &mut y);
+        self.inverse_acc(&re, &self.recon, &mut y);
         let xy: f32 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
         let yy: f32 = y.iter().map(|b| b * b).sum();
         if yy > 1e-12 {
@@ -298,19 +298,6 @@ impl CwtPlan {
         } else {
             1.0
         }
-    }
-
-    fn recon_unit(&self) -> Vec<f32> {
-        (0..self.lambda)
-            .map(|i| {
-                let ds = if i + 1 < self.lambda {
-                    self.scales[i] - self.scales[i + 1]
-                } else {
-                    self.scales[i] - self.scales[i] / 2.0
-                };
-                ds / self.scales[i].powf(1.5)
-            })
-            .collect()
     }
 
     /// Frequencies `F_i = F_c / s_i` of each sub-band given the wavelet's

@@ -2,7 +2,8 @@
 //! frequencies by amplitude and their implied period lengths
 //! `p_i = ceil(T / f_i)`.
 
-use crate::fft::rfft_half;
+use crate::fft::rfft_half_into;
+use crate::Complex32;
 use ts3_tensor::Tensor;
 
 /// One detected periodic component.
@@ -35,15 +36,18 @@ pub(crate) fn time_channels(x: &Tensor, op: &str) -> (usize, usize) {
 /// one periodogram kernel behind [`mean_amplitude_spectrum`],
 /// [`dominant_period`], [`topk_periods_multi`] and the streaming pulse.
 ///
-/// Every (batch, channel) lane is copied into `col` (length `T`) and
+/// Every (batch, channel) lane is copied into `col` (length `T`), its
+/// half spectrum written into `spec`, and
 /// `mean_amp[f] += |rfft(col)[f]| / lanes` runs in b-major lane order —
 /// so a batch gives the bits of its `[T, B·C]` permute. Only bins
 /// `0..=T/2` are read, so the packed half-spectrum transform suffices.
+/// Both scratch buffers are caller-owned: a warm call allocates nothing.
 pub fn mean_amplitude_spectrum_into(
     x: &[f32],
     t: usize,
     c: usize,
     col: &mut [f32],
+    spec: &mut Vec<Complex32>,
     mean_amp: &mut [f32],
 ) {
     assert_eq!(col.len(), t, "periodogram: column scratch length");
@@ -65,7 +69,8 @@ pub fn mean_amplitude_spectrum_into(
             for (i, v) in col.iter_mut().enumerate() {
                 *v = block[i * c + ch];
             }
-            for (dst, z) in mean_amp.iter_mut().zip(&rfft_half(col)) {
+            rfft_half_into(col, spec);
+            for (dst, z) in mean_amp.iter_mut().zip(spec.iter()) {
                 *dst += z.abs() / lanes as f32;
             }
         }
@@ -77,7 +82,8 @@ pub fn mean_amplitude_spectrum_into(
 pub fn mean_amplitude_spectrum(x: &Tensor) -> Vec<f32> {
     let (t, c) = time_channels(x, "mean_amplitude_spectrum");
     let mut mean_amp = vec![0.0f32; t / 2 + 1];
-    mean_amplitude_spectrum_into(x.as_slice(), t, c, &mut vec![0.0; t], &mut mean_amp);
+    let (mut col, mut spec) = (vec![0.0; t], Vec::new());
+    mean_amplitude_spectrum_into(x.as_slice(), t, c, &mut col, &mut spec, &mut mean_amp);
     mean_amp
 }
 

@@ -54,6 +54,7 @@ use crate::ring::RingWindow;
 use ts3_signal::cwt::{CwtPlan, Lanes};
 use ts3_signal::decompose::{spectrum_gradient_rows, trend_seasonal_into, TripleConfig};
 use ts3_signal::spectrum::{dominant_period_from_spectrum, mean_amplitude_spectrum_into};
+use ts3_signal::Complex32;
 use ts3_tensor::Tensor;
 
 /// Configuration of a [`PulsedTriple`] stream operator.
@@ -129,6 +130,7 @@ pub struct PulsedTriple {
     ma_scratch: Vec<f32>,
     mean_amp: Vec<f32>,
     col: Vec<f32>,
+    spec: Vec<Complex32>,
     /// Channel offsets `0..C`: the S-GD lanes of a `[T, C]` row.
     channels: Vec<usize>,
 }
@@ -156,6 +158,7 @@ impl PulsedTriple {
             ma_scratch: Vec::new(),
             mean_amp: vec![0.0; t / 2 + 1],
             col: vec![0.0; t],
+            spec: Vec::new(),
             channels: (0..c).collect(),
             cfg,
         }
@@ -240,6 +243,7 @@ impl PulsedTriple {
                     t,
                     c,
                     &mut self.col,
+                    &mut self.spec,
                     &mut self.mean_amp,
                 );
                 dominant_period_from_spectrum(&self.mean_amp, t).clamp(2, t)

@@ -18,7 +18,7 @@
 //! detection in `ts3-serve`'s online mode) without an FFT per sample.
 
 use crate::ring::RingWindow;
-use ts3_signal::fft::rfft_half;
+use ts3_signal::fft::rfft_half_into;
 use ts3_signal::spectrum::{
     dominant_period_from_spectrum, topk_periods_from_spectrum, PeriodComponent,
 };
@@ -133,11 +133,12 @@ impl SlidingDft {
         ts3_obs::counter_add("stream.sdft.resyncs", 1);
         let nbins = self.half + 1;
         let mut col = vec![0.0f32; self.t];
+        let mut spec = Vec::new();
         for ch in 0..self.c {
             for i in 0..self.t {
                 col[i] = self.ring.row(i)[ch];
             }
-            let spec = rfft_half(&col);
+            rfft_half_into(&col, &mut spec);
             for f in 0..nbins {
                 self.bins_re[ch * nbins + f] = spec[f].re as f64;
                 self.bins_im[ch * nbins + f] = spec[f].im as f64;

@@ -429,7 +429,9 @@ mod tests {
 
     #[test]
     fn parallel_batched_matmul_bit_identical_to_serial() {
-        let (b, m, k, n) = (6, 19, 13, 17);
+        // The grain is PAR_GRAIN_FLOPS / (m·n·k) = 7 batch entries, so 16
+        // entries split across the pool whenever max_threads() >= 2.
+        let (b, m, k, n) = (16, 19, 13, 17);
         let x = Tensor::randn(&[b, m, k], 3);
         let w = Tensor::randn(&[b, k, n], 4);
         let mut serial = vec![0.0f32; b * m * n];
