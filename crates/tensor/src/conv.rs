@@ -529,6 +529,97 @@ mod tests {
         crate::par::set_max_threads(restore);
     }
 
+    /// `conv2d` as the textbook column product: per sample, `im2col`
+    /// then the unblocked reference loop `W · cols` from zeros.
+    fn conv2d_oracle(x: &Tensor, w: &Tensor, ph: usize, pw: usize) -> Tensor {
+        let (b, cin, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let (cout, _, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
+        let (oh, ow) = (h + 2 * ph + 1 - kh, wd + 2 * pw + 1 - kw);
+        let (k, p) = (cin * kh * kw, oh * ow);
+        let mut out = vec![0.0f32; b * cout * p];
+        for (bi, ob) in out.chunks_exact_mut(cout * p).enumerate() {
+            let cols = im2col(&x.index_axis(0, bi), kh, kw, ph, pw);
+            crate::gemm::matmul_block_naive(w.as_slice(), cols.as_slice(), ob, cout, k, p);
+        }
+        Tensor::from_vec(out, &[b, cout, oh, ow])
+    }
+
+    /// Bitwise equality where any NaN equals any NaN.
+    fn assert_same_bits(got: &Tensor, want: &Tensor, at: &str) {
+        assert_eq!(got.shape(), want.shape(), "{at}");
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{at} idx={i}: {a} vs {b}"
+            );
+        }
+    }
+
+    /// `t` with NaN, +inf and -inf written at three fixed positions.
+    fn with_specials(t: Tensor) -> Tensor {
+        let mut v = t.as_slice().to_vec();
+        let n = v.len();
+        for (slot, s) in [(n / 3, f32::NAN), (n / 2, f32::INFINITY), (n - 1, f32::NEG_INFINITY)] {
+            v[slot] = s;
+        }
+        Tensor::from_vec(v, t.shape())
+    }
+
+    #[test]
+    fn conv2d_and_backward_match_column_oracles_bitwise() {
+        // (b, cin, h, w, kh, kw, ph, pw): output widths 1, 5, 13 and 96
+        // (8-column blocks cross output rows), kh != kw, ph != pw, and
+        // planes smaller than the kernel. Every geometry runs at each
+        // Co, so the naive loop (Co < 4), the short-M tile (4..=8) and
+        // the packed tile (9, 32) all see it; then with NaN/±inf in x,
+        // in W and in gy, at 1 and 2 threads, with SIMD on (unless
+        // `TS3_SIMD=0` pinned it off for the process) and off.
+        let geoms = [
+            (2, 3, 4, 96, 5, 5, 2, 2),
+            (2, 2, 3, 13, 3, 3, 1, 1),
+            (3, 4, 5, 5, 1, 1, 0, 0),
+            (2, 3, 6, 1, 3, 1, 1, 0),
+            (2, 2, 3, 11, 2, 5, 0, 2),
+            (1, 2, 2, 3, 5, 4, 2, 1),
+            (2, 1, 1, 1, 3, 3, 1, 1),
+            (1, 5, 3, 13, 1, 3, 0, 1),
+        ];
+        let (restore, simd_on) = (crate::par::max_threads(), crate::simd::avx2_active());
+        for simd in [simd_on, false] {
+            crate::simd::set_simd_enabled(simd);
+            for threads in [1, 2] {
+                crate::par::set_max_threads(threads);
+                for (gi, &(b, cin, h, w, kh, kw, ph, pw)) in geoms.iter().enumerate() {
+                    let (oh, ow) = (h + 2 * ph + 1 - kh, w + 2 * pw + 1 - kw);
+                    for cout in [1, 3, 4, 8, 9, 32] {
+                        let s = (gi * 100 + cout) as u64;
+                        let x = Tensor::randn(&[b, cin, h, w], s);
+                        let wt = Tensor::randn(&[cout, cin, kh, kw], s + 1);
+                        let g = Tensor::randn(&[b, cout, oh, ow], s + 2);
+                        let inputs = [
+                            (x.clone(), wt.clone(), g.clone()),
+                            (with_specials(x.clone()), wt.clone(), g.clone()),
+                            (x.clone(), with_specials(wt.clone()), g.clone()),
+                            (x, wt, with_specials(g)),
+                        ];
+                        for (vi, (x, wt, g)) in inputs.iter().enumerate() {
+                            let at = format!(
+                                "simd={simd} threads={threads} geom={gi} cout={cout} values={vi}"
+                            );
+                            assert_same_bits(&conv2d(x, wt, ph, pw), &conv2d_oracle(x, wt, ph, pw), &at);
+                            let (gx, gw) = conv2d_backward(x, wt, g, ph, pw);
+                            let (rx, rw) = conv2d_backward_reference(x, wt, g, ph, pw);
+                            assert_same_bits(&gx, &rx, &format!("gx {at}"));
+                            assert_same_bits(&gw, &rw, &format!("gw {at}"));
+                        }
+                    }
+                }
+            }
+        }
+        crate::simd::set_simd_enabled(simd_on);
+        crate::par::set_max_threads(restore);
+    }
+
     #[test]
     fn im2col_identity_kernel_size_one() {
         let x = Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[1, 3, 4]);

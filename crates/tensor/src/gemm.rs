@@ -38,8 +38,8 @@
 //! ## Bit-identical-to-naive contract
 //!
 //! Every output element is produced by **exactly the same sequence of
-//! f32 operations** as the unblocked `i-k-j` reference loop kept in
-//! [`crate::linalg`]'s tests: for fixed `(i, j)`, the
+//! f32 operations** as the unblocked `i-k-j` reference loop
+//! `matmul_block_naive` (test builds only): for fixed `(i, j)`, the
 //! products `a[i,p] * b[p,j]` are folded in one at a time in ascending
 //! `p` order, starting from the caller's `out[i,j]`, each step a single
 //! fused multiply-add (`f32::mul_add`, one rounding per step — the
@@ -396,3 +396,47 @@ fn gemm_naive(a: MatRef, b: MatRef, out: &mut [f32], m: usize, k: usize, n: usiz
     }
 }
 
+/// Unblocked `i-k-j` kernel, kept as the bitwise reference for the
+/// tiled kernel's and the convolutions' equivalence tests.
+///
+/// **Arithmetic policy.** Each accumulation step is a single fused
+/// multiply-add (`f32::mul_add`: one rounding per step instead of
+/// round(mul)-then-round(add)). Every matmul path in the workspace —
+/// this reference, the packed kernel in `crate::gemm`, its strided
+/// naive fallback, and the transposed entry points — uses the same
+/// `mul_add` fold in ascending `p` order per output element, which is
+/// what keeps them all bit-identical to each other (and hence serial ==
+/// parallel for any thread cap). On targets with hardware FMA (the
+/// committed `.cargo/config.toml` builds with `target-cpu=native`) the
+/// fold compiles to one `vfmadd` per step; without hardware FMA,
+/// `mul_add` falls back to a correctly-rounded softfloat routine —
+/// results stay identical, only speed differs.
+///
+/// Note this loop deliberately has **no** `lhs == 0.0` skip branch (an
+/// earlier revision had one): skipping zero multiplicands makes kernel
+/// time data-dependent — sparse-ish activations run measurably faster —
+/// which skews benchmarks, and it changes results in IEEE edge cases
+/// (`0.0 * x` contributes a signed zero or NaN that the skip would
+/// drop, e.g. `out = -0.0` stays `-0.0` when `0.0 * 1.0` is skipped but
+/// becomes `+0.0` when added). Every product is folded in
+/// unconditionally.
+#[cfg(test)]
+pub(crate) fn matmul_block_naive(
+    lhs: &[f32],
+    rhs: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    for i in 0..m {
+        let out_row = &mut out[i * n..(i + 1) * n];
+        for p in 0..k {
+            let a = lhs[i * k + p];
+            let rhs_row = &rhs[p * n..(p + 1) * n];
+            for (o, &r) in out_row.iter_mut().zip(rhs_row) {
+                *o = a.mul_add(r, *o);
+            }
+        }
+    }
+}

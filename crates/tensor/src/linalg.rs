@@ -247,50 +247,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Unblocked `i-k-j` kernel, kept as the bitwise reference for the
-    /// tiled kernel's equivalence tests.
-    ///
-    /// **Arithmetic policy.** Each accumulation step is a single fused
-    /// multiply-add (`f32::mul_add`: one rounding per step instead of
-    /// round(mul)-then-round(add)). Every matmul path in the workspace —
-    /// this reference, the packed kernel in `crate::gemm`, its strided
-    /// naive fallback, and the transposed entry points — uses the same
-    /// `mul_add` fold in ascending `p` order per output element, which is
-    /// what keeps them all bit-identical to each other (and hence serial ==
-    /// parallel for any thread cap). On targets with hardware FMA (the
-    /// committed `.cargo/config.toml` builds with `target-cpu=native`) the
-    /// fold compiles to one `vfmadd` per step; without hardware FMA,
-    /// `mul_add` falls back to a correctly-rounded softfloat routine —
-    /// results stay identical, only speed differs.
-    ///
-    /// Note this loop deliberately has **no** `lhs == 0.0` skip branch (an
-    /// earlier revision had one): skipping zero multiplicands makes kernel
-    /// time data-dependent — sparse-ish activations run measurably faster —
-    /// which skews benchmarks, and it changes results in IEEE edge cases
-    /// (`0.0 * x` contributes a signed zero or NaN that the skip would
-    /// drop, e.g. `out = -0.0` stays `-0.0` when `0.0 * 1.0` is skipped but
-    /// becomes `+0.0` when added). Every product is folded in
-    /// unconditionally.
-    fn matmul_block_naive(
-        lhs: &[f32],
-        rhs: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        for i in 0..m {
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for p in 0..k {
-                let a = lhs[i * k + p];
-                let rhs_row = &rhs[p * n..(p + 1) * n];
-                for (o, &r) in out_row.iter_mut().zip(rhs_row) {
-                    *o = a.mul_add(r, *o);
-                }
-            }
-        }
-    }
+    use crate::gemm::matmul_block_naive;
 
     fn t(v: Vec<f32>, s: &[usize]) -> Tensor {
         Tensor::from_vec(v, s)
