@@ -1,8 +1,9 @@
-//! Differentiable 1-D/2-D convolution. The forward is the `im2col`
+//! Differentiable 1-D/2-D convolution. The forward is the column-free
 //! kernel [`ts3_tensor::conv2d`]; the backward is one call to
-//! [`ts3_tensor::conv2d_backward`], which forms the input gradient as
-//! `Wᵀ · gy` folded back by the adjoint of `im2col` and the weight
-//! gradient as `gy · colsᵀ` against the recomputed column matrix.
+//! [`ts3_tensor::conv2d_backward`], which forms the weight gradient
+//! `gy · colsᵀ` on gemm over the zero-padded sample and the input
+//! gradient as per-tap `C_out`-term chains, with the bits of the
+//! `im2col` / `Wᵀ · gy` / `col2im` formulation.
 //! [`Var::conv2d_mean`] is the inception stage — the mean of parallel
 //! convolutions with their biases — as one tape node.
 

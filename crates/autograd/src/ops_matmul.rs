@@ -26,11 +26,7 @@ impl Var {
                     (3, 2) => {
                         // A: [bt,m,k], B: [k,n], G: [bt,m,n]
                         let ga = g.matmul_tb(b); // [bt,m,k]
-                        let (bt, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-                        let n = b.shape()[1];
-                        let a2 = a.reshape(&[bt * m, k]);
-                        let g2 = g.reshape(&[bt * m, n]);
-                        let gb = a2.matmul_ta(&g2); // [k,n]
+                        let gb = a.matmul_ta_flat(g); // [bt·m,k]ᵀ @ [bt·m,n] = [k,n]
                         vec![Some(ga), Some(gb)]
                     }
                     // ts3-lint: allow(no-unwrap-in-lib) rank combinations are fixed by the forward op; this arm is a documented contract violation
@@ -63,11 +59,7 @@ impl Var {
                     (3, 2) => {
                         // A: [bt,m,k], B: [n,k], G: [bt,m,n]
                         let ga = g.matmul(b); // [bt,m,k]
-                        let (bt, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-                        let n = b.shape()[0];
-                        let g2 = g.reshape(&[bt * m, n]);
-                        let a2 = a.reshape(&[bt * m, k]);
-                        let gb = g2.matmul_ta(&a2); // [n,k]
+                        let gb = g.matmul_ta_flat(a); // [bt·m,n]ᵀ @ [bt·m,k] = [n,k]
                         vec![Some(ga), Some(gb)]
                     }
                     // ts3-lint: allow(no-unwrap-in-lib) rank combinations are fixed by the forward op; this arm is a documented contract violation

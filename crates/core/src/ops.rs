@@ -70,6 +70,12 @@ pub fn cwt_amplitude(x: &Var, plan: &Rc<CwtPlan>) -> Var {
 
 /// Differentiable linear inverse wavelet transform `IWT` (Eq. 9):
 /// `[B, D, lambda, T]` coefficients to `[B, T, D]`.
+///
+/// Each batch row's `D` grids are gathered into one `[lambda, T, D]`
+/// grid and inverted by a single [`CwtPlan::inverse_into`] call, which is
+/// bitwise the `D` single-series inverses and writes the row's `[T, D]`
+/// output in place. The backward writes `recon[i] · g` per lane straight
+/// into the coefficient gradient.
 pub fn iwt(w: &Var, plan: &Rc<CwtPlan>) -> Var {
     let wv = w.value();
     assert_eq!(wv.rank(), 4, "iwt expects [B, D, lambda, T]");
@@ -79,26 +85,27 @@ pub fn iwt(w: &Var, plan: &Rc<CwtPlan>) -> Var {
     let ws = wv.as_slice();
     let lane_len = lambda * t;
     let mut out = vec![0.0f32; b * t * d];
-    let mut x = vec![0.0f32; t];
-    for bi in 0..b {
-        for di in 0..d {
-            let base = (bi * d + di) * lane_len;
-            plan.inverse_into(&ws[base..base + lane_len], &mut x);
-            for (ti, &v) in x.iter().enumerate() {
-                out[(bi * t + ti) * d + di] = v;
+    if d > 0 {
+        let mut grid = vec![0.0f32; lane_len * d];
+        for (row, out_row) in ws.chunks_exact(d * lane_len).zip(out.chunks_exact_mut(t * d)) {
+            for (di, lane) in row.chunks_exact(lane_len).enumerate() {
+                for (k, &v) in lane.iter().enumerate() {
+                    grid[k * d + di] = v;
+                }
             }
+            plan.inverse_into(&grid, out_row);
         }
     }
     let plan = plan.clone();
     let backward = move |grad: &Tensor, _: &[Var]| {
         let gs = grad.as_slice();
         let mut gw = vec![0.0f32; b * d * lane_len];
-        for bi in 0..b {
-            for di in 0..d {
-                let lane: Vec<f32> = (0..t).map(|ti| gs[(bi * t + ti) * d + di]).collect();
-                let back = plan.inverse_adjoint(&lane);
-                let base = (bi * d + di) * lane_len;
-                gw[base..base + lane_len].copy_from_slice(&back);
+        for (l, lane) in gw.chunks_exact_mut(lane_len).enumerate() {
+            let (bi, di) = (l / d, l % d);
+            for (row, &wi) in lane.chunks_exact_mut(t).zip(plan.inverse_weights()) {
+                for (ti, v) in row.iter_mut().enumerate() {
+                    *v = wi * gs[(bi * t + ti) * d + di];
+                }
             }
         }
         vec![Some(Tensor::from_vec(gw, &[b, d, lambda, t]))]
@@ -209,6 +216,36 @@ mod tests {
         let yab = iwt(&Var::constant(a.add(&b)), &p);
         assert_eq!(ya.shape(), &[1, 20, 2]);
         assert!(ya.value().add(yb.value()).allclose(yab.value(), 1e-4));
+    }
+
+    #[test]
+    fn iwt_matches_plan_per_lane() {
+        // Three batch rows of three channels: each output column is
+        // bitwise the single-series `inverse` of its lane, and each lane
+        // of the gradient is bitwise its `inverse_adjoint`, added into
+        // zeros.
+        let p = plan(24, 3);
+        let (b, d, t) = (3, 3, 24);
+        let w = Tensor::randn(&[b, d, 3, t], 14);
+        let g = Tensor::randn(&[b, t, d], 15);
+        let v = Var::constant(w.clone());
+        let y = iwt(&v, &p);
+        y.backward_with(g.clone());
+        let gw = v.grad().expect("coefficient gradient");
+        for bi in 0..b {
+            for di in 0..d {
+                let lane = &w.as_slice()[(bi * d + di) * 3 * t..][..3 * t];
+                for (ti, want) in p.inverse(lane).into_iter().enumerate() {
+                    let got = y.value().at(&[bi, ti, di]);
+                    assert_eq!(got.to_bits(), want.to_bits(), "y ({bi},{ti},{di})");
+                }
+                let col: Vec<f32> = (0..t).map(|ti| g.at(&[bi, ti, di])).collect();
+                for (k, want) in p.inverse_adjoint(&col).into_iter().enumerate() {
+                    let (want, got) = (0.0 + want, gw.at(&[bi, di, k / t, k % t]));
+                    assert_eq!(got.to_bits(), want.to_bits(), "gw ({bi},{di},{k})");
+                }
+            }
+        }
     }
 
     #[test]

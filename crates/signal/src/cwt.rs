@@ -756,6 +756,12 @@ impl CwtPlan {
         }
     }
 
+    /// The `lambda` reconstruction weights of [`CwtPlan::inverse`], one
+    /// per scale: row `i` of the grid is scaled by `inverse_weights()[i]`.
+    pub fn inverse_weights(&self) -> &[f32] {
+        &self.recon
+    }
+
     /// Adjoint of [`CwtPlan::inverse`]: maps a length-`T` cotangent to a
     /// `[lambda, T]` cotangent (each row scaled by its weight).
     pub fn inverse_adjoint(&self, g: &[f32]) -> Vec<f32> {

@@ -1,4 +1,4 @@
-//! Convolution kernels: `im2col` based 2-D convolution and its backward
+//! Convolution kernels: column-free 2-D convolution and its backward
 //! pass, 1-D convolution, and the moving-average pooling used by trend
 //! decomposition.
 //!
@@ -7,75 +7,154 @@
 //! * conv2d weight `[C_out, C_in, KH, KW]`
 //! * conv1d input  `[B, C_in, L]`
 //! * conv1d weight `[C_out, C_in, K]`
+//!
+//! ## No column matrix
+//!
+//! A stride-1 convolution is the product `W · cols` of the weight, read
+//! as `[C_out, C_in·KH·KW]`, and the `[C_in·KH·KW, OH·OW]` column matrix
+//! of one sample. That matrix is never built. Each worker copies the
+//! sample once into a zero-padded `[C_in, H+2ph, W+2pw]` scratch, and
+//! two offset tables, built once per call, address it:
+//! * `taps[(ci·KH + ki)·KW + kj] = (ci·Hp + ki)·Wp + kj`, one per tap;
+//! * `pix[oi·OW + oj] = oi·Wp + oj`, one per output pixel.
+//!
+//! Column-matrix element `(t, j)` is `xpad[taps[t] + pix[j]]`: the gemm
+//! operand view `MatRef::gather` reads it in place, so the forward
+//! `W · cols` and the weight gradient `gy · colsᵀ` run gemm's tiles over
+//! the padded copy. The padding holds the zeros the column matrix held,
+//! met in the same FMAs in the same order, so the bits are those of
+//! the textbook `im2col` product (the tests keep it as the oracle).
+//! The input gradient is a direct kernel over the clipped taps (see
+//! [`conv2d_backward`]).
 
 use std::cell::RefCell;
 
-use crate::gemm::{gemm, MatRef};
+use crate::gemm::{gemm, Axis, MatRef};
 use crate::Tensor;
 
 thread_local! {
-    // Per-worker column-matrix scratch shared by `conv2d` and
+    // Per-worker zero-padded sample shared by `conv2d` and
     // `conv2d_backward`, reused across samples and calls (the
     // persistent pool keeps workers alive, so steady-state convolution
     // does no per-sample allocation in either direction).
-    static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static XPAD: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    // The calling thread's tap and pixel offset tables, built once per
+    // call and read by every worker of it.
+    static TABLES: RefCell<(Vec<usize>, Vec<usize>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    // The calling thread's `[KH·KW, Co, Ci]` weight for the input
+    // gradient, likewise per call.
+    static WTAP: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Unfold a `[C, H, W]` sample given as a raw slice into a
-/// `[C*kh*kw, oh*ow]` column matrix for a stride-1 convolution with
-/// padding `(ph, pw)`, writing into `out` (resized to
-/// `c*kh*kw * oh*ow`). Every element of `out` is written — interior
-/// spans are bulk-copied from the input rows, padding spans are zero
-/// filled — so the buffer can be reused across calls without clearing.
-/// This is the allocation-free core behind the [`conv2d`] and
-/// [`conv2d_backward`] batch loops (which share a thread-local scratch
-/// buffer per worker).
-#[allow(clippy::too_many_arguments)] // mirrors im2col geometry
-pub fn im2col_into(
-    src: &[f32],
-    c: usize,
+/// The shape of one stride-1 `conv2d` call, checked once.
+#[derive(Clone, Copy)]
+struct Geom {
+    b: usize,
+    cin: usize,
     h: usize,
     w: usize,
+    cout: usize,
     kh: usize,
     kw: usize,
     ph: usize,
     pw: usize,
-    out: &mut Vec<f32>,
-) {
-    assert_eq!(src.len(), c * h * w, "im2col_into: input length mismatch");
-    let oh = h + 2 * ph + 1 - kh;
-    let ow = w + 2 * pw + 1 - kw;
-    out.resize(c * kh * kw * oh * ow, 0.0);
-    let ocols = oh * ow;
-    for ci in 0..c {
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = ((ci * kh + ki) * kw + kj) * ocols;
-                // Output columns whose input column jj = oj + kj - pw is
-                // in range; everything outside is zero padding.
-                let lo = pw.saturating_sub(kj).min(ow);
-                let hi = (w + pw).saturating_sub(kj).min(ow).max(lo);
-                for oi in 0..oh {
-                    let dst = &mut out[row + oi * ow..row + (oi + 1) * ow];
-                    // Input row index for this output row / kernel row.
-                    let ii = oi + ki;
-                    if ii < ph || ii >= h + ph {
-                        dst.fill(0.0); // zero padding row
-                        continue;
-                    }
-                    let ii = ii - ph;
-                    dst[..lo].fill(0.0);
-                    if hi > lo {
-                        // Input column for output column `lo` is
-                        // lo + kj - pw (non-negative whenever the span
-                        // is non-empty).
-                        let src_lo = (ci * h + ii) * w + (lo + kj - pw);
-                        dst[lo..hi].copy_from_slice(&src[src_lo..src_lo + (hi - lo)]);
-                    }
-                    dst[hi..].fill(0.0);
-                }
+    oh: usize,
+    ow: usize,
+}
+
+impl Geom {
+    fn new(input: &Tensor, weight: &Tensor, ph: usize, pw: usize, op: &str) -> Geom {
+        assert_eq!(input.rank(), 4, "{op} input must be [B,C,H,W]");
+        assert_eq!(weight.rank(), 4, "{op} weight must be [Co,Ci,KH,KW]");
+        let (b, cin, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
+        let (cout, cin2, kh, kw) = (weight.shape()[0], weight.shape()[1], weight.shape()[2], weight.shape()[3]);
+        assert_eq!(cin, cin2, "{op}: channel mismatch (input {cin} vs weight {cin2})");
+        assert!(h + 2 * ph >= kh && w + 2 * pw >= kw, "{op}: kernel larger than padded input");
+        let (oh, ow) = (h + 2 * ph + 1 - kh, w + 2 * pw + 1 - kw);
+        Geom { b, cin, h, w, cout, kh, kw, ph, pw, oh, ow }
+    }
+
+    /// Width of the padded plane.
+    fn wp(&self) -> usize {
+        self.w + 2 * self.pw
+    }
+
+    /// Taps per output channel: the column matrix's row count.
+    fn k(&self) -> usize {
+        self.cin * self.kh * self.kw
+    }
+
+    /// Output pixels per channel: the column matrix's column count.
+    fn p(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Fill the tap and pixel offset tables of the padded plane.
+    fn tables(&self, taps: &mut Vec<usize>, pix: &mut Vec<usize>) {
+        let (hp, wp) = (self.h + 2 * self.ph, self.wp());
+        taps.clear();
+        for ci in 0..self.cin {
+            for ki in 0..self.kh {
+                taps.extend((0..self.kw).map(|kj| (ci * hp + ki) * wp + kj));
             }
         }
+        pix.clear();
+        for oi in 0..self.oh {
+            pix.extend((0..self.ow).map(|oj| oi * wp + oj));
+        }
+    }
+
+    /// Copy the `[Ci, H, W]` sample `x` into `out` as the zero-padded
+    /// `[Ci, H+2ph, W+2pw]` plane, writing every element so the buffer
+    /// can be reused without clearing.
+    fn pad_into(&self, x: &[f32], out: &mut Vec<f32>) {
+        let (h, w, ph, pw, wp) = (self.h, self.w, self.ph, self.pw, self.wp());
+        let plane = (h + 2 * ph) * wp;
+        out.resize(self.cin * plane, 0.0);
+        for ci in 0..self.cin {
+            let (top, rest) = out[ci * plane..(ci + 1) * plane].split_at_mut(ph * wp);
+            let (body, bottom) = rest.split_at_mut(h * wp);
+            top.fill(0.0);
+            bottom.fill(0.0);
+            for ii in 0..h {
+                let d = &mut body[ii * wp..(ii + 1) * wp];
+                d[..pw].fill(0.0);
+                d[pw..pw + w].copy_from_slice(&x[(ci * h + ii) * w..][..w]);
+                d[pw + w..].fill(0.0);
+            }
+        }
+    }
+
+    /// Run `f(bi, xpad, taps, pix, row)` for each sample `bi` of `input`
+    /// on the worker that owns it: `f` gets the sample's padded copy, the
+    /// shared tap and pixel axes, and the sample's `row`-wide row of
+    /// `out`. The pixel axis is a plain stride when the output plane is
+    /// one contiguous run of the padded plane (one output row, or no
+    /// column padding with `KW = 1`).
+    fn per_sample<F>(&self, input: &Tensor, out: &mut [f32], row: usize, f: F)
+    where
+        F: Fn(usize, &[f32], Axis, Axis, &mut [f32]) + Sync,
+    {
+        if out.is_empty() || row == 0 {
+            return;
+        }
+        let in_sample = self.cin * self.h * self.w;
+        let src = input.as_slice();
+        TABLES.with(|cell| {
+            let (taps, pix) = &mut *cell.borrow_mut();
+            self.tables(taps, pix);
+            let taps = Axis::Table(taps);
+            let pix = if self.oh == 1 || self.ow == self.wp() { Axis::Stride(1) } else { Axis::Table(pix) };
+            crate::par::par_rows_mut(out, row, 1, |b0, block| {
+                XPAD.with(|cell| {
+                    let xpad = &mut *cell.borrow_mut();
+                    for (bi, r) in (b0..).zip(block.chunks_mut(row)) {
+                        self.pad_into(&src[bi * in_sample..(bi + 1) * in_sample], xpad);
+                        f(bi, xpad, taps, pix, r);
+                    }
+                });
+            });
+        });
     }
 }
 
@@ -85,108 +164,139 @@ pub fn im2col_into(
 /// * `weight`: `[C_out, C_in, KH, KW]`
 /// * returns `[B, C_out, OH, OW]` with `OH = H + 2*ph + 1 - KH`.
 ///
-/// Batch entries are independent (`im2col` + matmul per sample), so
-/// they are partitioned across threads via [`crate::par`]; each sample
-/// is computed by the identical serial kernel, keeping the result
-/// bit-identical to a serial run.
+/// Per sample, one gemm `W · cols` over the padded copy read through
+/// the tap × pixel view (see the module docs); with AVX2 active,
+/// 4 ≤ `C_out` ≤ 8 takes gemm's short-M tile. Batch entries are
+/// independent, so they are partitioned across threads via
+/// [`crate::par`]; each sample is computed by the identical serial
+/// kernel, keeping the result bit-identical to a serial run.
 pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
-    assert_eq!(input.rank(), 4, "conv2d input must be [B,C,H,W]");
-    assert_eq!(weight.rank(), 4, "conv2d weight must be [Co,Ci,KH,KW]");
-    let (b, cin, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let (cout, cin2, kh, kw) = (
-        weight.shape()[0],
-        weight.shape()[1],
-        weight.shape()[2],
-        weight.shape()[3],
-    );
-    assert_eq!(cin, cin2, "conv2d: channel mismatch (input {cin} vs weight {cin2})");
-    assert!(h + 2 * ph >= kh && w + 2 * pw >= kw, "conv2d: kernel larger than padded input");
-    let oh = h + 2 * ph + 1 - kh;
-    let ow = w + 2 * pw + 1 - kw;
+    let g = Geom::new(input, weight, ph, pw, "conv2d");
+    let (b, cout, k, p) = (g.b, g.cout, g.k(), g.p());
     let mut _span = ts3_obs::span("tensor.conv2d");
     if _span.active() {
-        let flops = 2 * b * cout * oh * ow * cin * kh * kw;
+        let flops = 2 * b * cout * p * k;
         _span.field("b", b);
-        _span.field("cin", cin);
+        _span.field("cin", g.cin);
         _span.field("cout", cout);
-        _span.field("kh", kh);
-        _span.field("kw", kw);
+        _span.field("kh", g.kh);
+        _span.field("kw", g.kw);
         _span.field("flops", flops);
         ts3_obs::counter_add("tensor.conv2d.calls", 1);
         ts3_obs::counter_add("tensor.conv2d.flops", flops as u64);
         ts3_obs::counter_add(
             "tensor.conv2d.bytes",
-            (4 * (input.numel() + weight.numel() + b * cout * oh * ow)) as u64,
+            (4 * (input.numel() + weight.numel() + b * cout * p)) as u64,
         );
-        crate::gemm::count_short_m(&[(cout, cin * kh * kw, oh * ow)]);
+        crate::gemm::count_short_m(&[(cout, k, p)]);
     }
     // The weight is read in place as the `[Co, Ci·kh·kw]` matrix.
-    let (k, p) = (cin * kh * kw, oh * ow);
     let wmat = MatRef::dense(weight.as_slice(), k);
-    let sample = cout * p;
-    let in_sample = cin * h * w;
-    let mut out = vec![0.0f32; b * sample];
-    if sample > 0 {
-        let src = input.as_slice();
-        crate::par::par_rows_mut(&mut out, sample, 1, |b0, block| {
-            COLS.with(|cell| {
-                let cols = &mut *cell.borrow_mut();
-                for (i, ob) in block.chunks_mut(sample).enumerate() {
-                    let x = &src[(b0 + i) * in_sample..(b0 + i + 1) * in_sample];
-                    im2col_into(x, cin, h, w, kh, kw, ph, pw, cols);
-                    gemm(wmat, MatRef::dense(cols, p), ob, cout, k, p);
-                }
-            });
-        });
-    }
-    Tensor::from_vec(out, &[b, cout, oh, ow])
+    let mut out = vec![0.0f32; b * cout * p];
+    g.per_sample(input, &mut out, cout * p, |_, xpad, taps, pix, ob| {
+        gemm(wmat, MatRef::gather(xpad, taps, pix), ob, cout, k, p);
+    });
+    Tensor::from_vec(out, &[b, cout, g.oh, g.ow])
 }
 
-/// Accumulate a `[C*kh*kw, oh*ow]` column matrix into the `[C, H, W]`
-/// sample `out` — the adjoint of [`im2col_into`]. Rows and columns are
-/// clipped to the same in-range `lo/hi` spans `im2col_into` copies, so
-/// the inner loop is a branch-free slice add. Each element of `out`
-/// receives its contributions in ascending `(ki, kj)` order.
-#[allow(clippy::too_many_arguments)] // mirrors im2col geometry
-fn col2im_add(
-    cols: &[f32],
-    out: &mut [f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    ph: usize,
-    pw: usize,
-) {
-    let oh = h + 2 * ph + 1 - kh;
-    let ow = w + 2 * pw + 1 - kw;
-    let ocols = oh * ow;
-    for ci in 0..c {
-        for ki in 0..kh {
-            // Output rows whose input row ii = oi + ki - ph is in range.
-            let oi_lo = ph.saturating_sub(ki).min(oh);
-            let oi_hi = (h + ph).saturating_sub(ki).min(oh).max(oi_lo);
-            for kj in 0..kw {
-                let row = ((ci * kh + ki) * kw + kj) * ocols;
-                let lo = pw.saturating_sub(kj).min(ow);
-                let hi = (w + pw).saturating_sub(kj).min(ow).max(lo);
-                if hi == lo {
-                    continue; // every output column reads padding
+/// Input channels whose input-gradient chains [`input_grad_add`] runs
+/// side by side.
+const GX_CI: usize = 2;
+
+/// Add one sample's input gradient into `gx` (`[Ci, H, W]`), given its
+/// output gradient `gy` (`[Co, OH·OW]`) and the weight re-laid as
+/// `[KH·KW, Co, Ci]` (`wt`).
+///
+/// For each tap `(ki, kj)` in ascending order, each input pixel the tap
+/// reaches gets one `C_out`-term chain `Σ_co w·gy`, folded in ascending
+/// `co` from `+0.0` and then added into `gx`. The tap's output span is
+/// clipped to the pixels that read the input, not padded: a padded `gy`
+/// would add `w·0` terms, which an infinite `w` turns into NaN. These
+/// are the operations of `Wᵀ · gy` followed by the `col2im` fold, so the
+/// bits are the same.
+fn input_grad_add(g: &Geom, wt: &[f32], gy: &[f32], gx: &mut [f32]) {
+    let (cin, cout, h, w, ow) = (g.cin, g.cout, g.h, g.w, g.ow);
+    for ki in 0..g.kh {
+        // Output rows whose input row oi + ki - ph is in range.
+        let oi_lo = g.ph.saturating_sub(ki).min(g.oh);
+        let oi_hi = (h + g.ph).saturating_sub(ki).min(g.oh).max(oi_lo);
+        for kj in 0..g.kw {
+            let lo = g.pw.saturating_sub(kj).min(ow);
+            let hi = (w + g.pw).saturating_sub(kj).min(ow).max(lo);
+            if hi == lo {
+                continue; // every output column reads padding
+            }
+            let wtap = &wt[(ki * g.kw + kj) * cout * cin..][..cout * cin];
+            for oi in oi_lo..oi_hi {
+                // Output pixel (oi, oj) adds into channel 0's gx at
+                // `at + oj - pw`.
+                let row = TapRow { wtap, gy_row: oi * ow, at: (oi + ki - g.ph) * w + kj, lo, hi };
+                let mut ci0 = 0;
+                while ci0 + GX_CI <= cin {
+                    row.chains::<GX_CI>(g, gy, gx, ci0);
+                    ci0 += GX_CI;
                 }
-                for oi in oi_lo..oi_hi {
-                    let src = &cols[row + oi * ow + lo..row + oi * ow + hi];
-                    let dst = &mut out[(ci * h + oi + ki - ph) * w + lo + kj - pw..][..hi - lo];
-                    for (d, s) in dst.iter_mut().zip(src) {
-                        *d += s;
+                for ci in ci0..cin {
+                    row.chains::<1>(g, gy, gx, ci);
+                }
+            }
+        }
+    }
+}
+
+/// One tap's clipped output span `lo..hi` on one output row.
+struct TapRow<'a> {
+    /// The tap's `[Co, Ci]` weights.
+    wtap: &'a [f32],
+    /// Offset of the output row in a `gy` channel.
+    gy_row: usize,
+    /// `gx` offset of output pixel `oj` in channel 0, plus `pw`.
+    at: usize,
+    lo: usize,
+    hi: usize,
+}
+
+impl TapRow<'_> {
+    /// The chains of `C` input channels from `ci0`, in blocks of 32
+    /// pixels, of 8 when the span is shorter, else one by one.
+    #[inline(always)]
+    fn chains<const C: usize>(&self, g: &Geom, gy: &[f32], gx: &mut [f32], ci0: usize) {
+        match self.hi - self.lo {
+            32.. => self.blocks::<C, 32>(g, gy, gx, ci0),
+            8.. => self.blocks::<C, 8>(g, gy, gx, ci0),
+            _ => self.blocks::<C, 1>(g, gy, gx, ci0),
+        }
+    }
+
+    /// `C` channels × `PIX` pixels of chains side by side (`PIX` at most
+    /// the span): each step loads `gy` once for all `C` channels. The
+    /// last block is shifted back to end at `hi` and adds only the
+    /// pixels the block before it left.
+    #[inline(always)]
+    fn blocks<const C: usize, const PIX: usize>(&self, g: &Geom, gy: &[f32], gx: &mut [f32], ci0: usize) {
+        let (p, plane) = (g.p(), g.h * g.w);
+        let mut next = self.lo;
+        while next < self.hi {
+            let oj = next.min(self.hi - PIX);
+            let mut acc = [[0.0f32; PIX]; C];
+            for (gyc, wrow) in gy.chunks_exact(p).zip(self.wtap.chunks_exact(g.cin)) {
+                // ts3-lint: allow(no-unwrap-in-lib) both slices are exactly PIX / C long; conversion cannot fail
+                let gv: &[f32; PIX] = gyc[self.gy_row + oj..][..PIX].try_into().unwrap();
+                // ts3-lint: allow(no-unwrap-in-lib) both slices are exactly PIX / C long; conversion cannot fail
+                let wv: &[f32; C] = wrow[ci0..ci0 + C].try_into().unwrap();
+                for c in 0..C {
+                    for l in 0..PIX {
+                        acc[c][l] = wv[c].mul_add(gv[l], acc[c][l]);
                     }
                 }
             }
+            for (c, acc_c) in acc.iter().enumerate() {
+                let dst = &mut gx[(ci0 + c) * plane + self.at + oj - g.pw..][..PIX];
+                for l in next - oj..PIX {
+                    dst[l] += acc_c[l];
+                }
+            }
+            next = oj + PIX;
         }
     }
 }
@@ -195,15 +305,14 @@ fn col2im_add(
 /// the output gradient `grad` (`[B, C_out, OH, OW]`). Returns
 /// `(gx, gw)`, shaped like `input` and `weight`.
 ///
-/// Per sample, the input is unfolded into the forward's column scratch
-/// and the weight partial `gy · colsᵀ` is formed; the same scratch then
-/// receives `Wᵀ · gy`, which is folded into the sample's slice of `gx`.
-/// Both products run the crate's GEMM over strided views, so no
-/// transpose is materialised and no per-sample buffer is allocated.
-/// With AVX2 active, `gy · colsᵀ` (`C_out` rows) takes the short-M
-/// kernel for 4 ≤ `C_out` ≤ 8, reading `colsᵀ` in place; `Wᵀ · gy`
-/// (`C_in·kh·kw` rows) takes it only when that is 4..=8 (k = 1) and
-/// otherwise runs the packed tile. Either way the bits are the same.
+/// Per sample, the weight partial `gy · colsᵀ` is one gemm over the
+/// padded copy read through the pixel × tap view (the short-M tile for
+/// 4 ≤ `C_out` ≤ 8 under AVX2, else the packed tile or the naive loop).
+/// The input gradient is a direct kernel: for each tap in `(ki, kj)`
+/// order, each input pixel the tap reaches gets one `C_out`-term chain,
+/// folded from zero over the clipped span and added into `gx`, as the
+/// `Wᵀ · gy` + `col2im` formulation did. No column matrix and no
+/// per-sample buffer exist.
 /// Samples are split across [`crate::par`] like the forward. Each
 /// sample writes its weight partial to its own row, and the partials
 /// are summed serially in sample order, so `gx` and `gw` are
@@ -215,66 +324,47 @@ pub fn conv2d_backward(
     ph: usize,
     pw: usize,
 ) -> (Tensor, Tensor) {
-    assert_eq!(input.rank(), 4, "conv2d_backward input must be [B,C,H,W]");
-    assert_eq!(weight.rank(), 4, "conv2d_backward weight must be [Co,Ci,KH,KW]");
-    let (b, cin, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let (cout, cin2, kh, kw) = (
-        weight.shape()[0],
-        weight.shape()[1],
-        weight.shape()[2],
-        weight.shape()[3],
-    );
-    assert_eq!(cin, cin2, "conv2d_backward: channel mismatch (input {cin} vs weight {cin2})");
-    assert!(
-        h + 2 * ph >= kh && w + 2 * pw >= kw,
-        "conv2d_backward: kernel larger than padded input"
-    );
-    let oh = h + 2 * ph + 1 - kh;
-    let ow = w + 2 * pw + 1 - kw;
-    assert_eq!(grad.shape(), &[b, cout, oh, ow], "conv2d_backward: gradient shape mismatch");
-    let (k, p) = (cin * kh * kw, oh * ow);
+    let g = Geom::new(input, weight, ph, pw, "conv2d_backward");
+    let (b, cin, cout, k, p) = (g.b, g.cin, g.cout, g.k(), g.p());
+    assert_eq!(grad.shape(), &[b, cout, g.oh, g.ow], "conv2d_backward: gradient shape mismatch");
     let mut _span = ts3_obs::span("tensor.conv2d_backward");
     if _span.active() {
-        // Two products per sample: gy · colsᵀ and Wᵀ · gy.
+        // Counted as two full products per sample, gy · colsᵀ and Wᵀ · gy.
         let flops = 4 * b * cout * p * k;
         _span.field("b", b);
         _span.field("cin", cin);
         _span.field("cout", cout);
-        _span.field("kh", kh);
-        _span.field("kw", kw);
+        _span.field("kh", g.kh);
+        _span.field("kw", g.kw);
         _span.field("flops", flops);
         ts3_obs::counter_add("tensor.conv2d_backward.calls", 1);
         ts3_obs::counter_add("tensor.conv2d_backward.flops", flops as u64);
-        crate::gemm::count_short_m(&[(cout, p, k), (k, cout, p)]);
+        crate::gemm::count_short_m(&[(cout, p, k)]);
     }
     // One row per sample: its `gx` slice, then its weight partial.
-    let in_sample = cin * h * w;
+    let in_sample = cin * g.h * g.w;
     let row = in_sample + cout * k;
     let mut buf = vec![0.0f32; b * row];
     let mut gw = vec![0.0f32; cout * k];
-    if row > 0 {
-        let (src, wdata, gdata) = (input.as_slice(), weight.as_slice(), grad.as_slice());
-        crate::par::par_rows_mut(&mut buf, row, 1, |b0, block| {
-            COLS.with(|cell| {
-                let cols = &mut *cell.borrow_mut();
-                for (i, r) in block.chunks_mut(row).enumerate() {
-                    let bi = b0 + i;
-                    let (gxb, gwb) = r.split_at_mut(in_sample);
-                    let x = &src[bi * in_sample..(bi + 1) * in_sample];
-                    let gy = &gdata[bi * cout * p..(bi + 1) * cout * p];
-                    im2col_into(x, cin, h, w, kh, kw, ph, pw, cols);
-                    gemm(MatRef::dense(gy, p), MatRef::dense_t(cols, p), gwb, cout, p, k);
-                    cols.fill(0.0);
-                    gemm(MatRef::dense_t(wdata, k), MatRef::dense(gy, p), cols, k, cout, p);
-                    col2im_add(cols, gxb, cin, h, w, kh, kw, ph, pw);
-                }
-            });
+    let gdata = grad.as_slice();
+    WTAP.with(|cell| {
+        // The weight re-laid `[KH·KW, Co, Ci]` for the input gradient.
+        let wt = &mut *cell.borrow_mut();
+        let kk = g.kh * g.kw;
+        wt.resize(weight.numel(), 0.0);
+        for (i, &v) in weight.as_slice().iter().enumerate() {
+            let (co, ci, tap) = (i / (cin * kk), i / kk % cin, i % kk);
+            wt[(tap * cout + co) * cin + ci] = v;
+        }
+        let wt = &wt[..];
+        g.per_sample(input, &mut buf, row, |bi, xpad, taps, pix, r| {
+            let (gxb, gwb) = r.split_at_mut(in_sample);
+            let gy = &gdata[bi * cout * p..(bi + 1) * cout * p];
+            gemm(MatRef::dense(gy, p), MatRef::gather(xpad, pix, taps), gwb, cout, p, k);
+            input_grad_add(&g, wt, gy, gxb);
         });
+    });
+    if row > 0 {
         for r in buf.chunks_exact(row) {
             for (acc, v) in gw.iter_mut().zip(&r[in_sample..]) {
                 *acc += v;
@@ -287,8 +377,8 @@ pub fn conv2d_backward(
         buf.truncate(b * in_sample);
     }
     (
-        Tensor::from_vec(buf, &[b, cin, h, w]),
-        Tensor::from_vec(gw, &[cout, cin, kh, kw]),
+        Tensor::from_vec(buf, &[b, cin, g.h, g.w]),
+        Tensor::from_vec(gw, &[cout, cin, g.kh, g.kw]),
     )
 }
 
@@ -396,14 +486,27 @@ mod tests {
     use super::*;
 
     /// Unfold `input` (`[C, H, W]`) into a `[C*kh*kw, oh*ow]` column matrix for
-    /// a convolution with the given padding and stride 1.
+    /// a convolution with the given padding and stride 1, element by element.
     fn im2col(input: &Tensor, kh: usize, kw: usize, ph: usize, pw: usize) -> Tensor {
         assert_eq!(input.rank(), 3, "im2col expects [C,H,W]");
         let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
         let oh = h + 2 * ph + 1 - kh;
         let ow = w + 2 * pw + 1 - kw;
-        let mut out = Vec::new();
-        im2col_into(input.as_slice(), c, h, w, kh, kw, ph, pw, &mut out);
+        let src = input.as_slice();
+        let mut out = Vec::with_capacity(c * kh * kw * oh * ow);
+        for ci in 0..c {
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    for oi in 0..oh {
+                        for oj in 0..ow {
+                            let (ii, jj) = (oi + ki, oj + kj);
+                            let inside = (ph..h + ph).contains(&ii) && (pw..w + pw).contains(&jj);
+                            out.push(if inside { src[(ci * h + ii - ph) * w + jj - pw] } else { 0.0 });
+                        }
+                    }
+                }
+            }
+        }
         Tensor::from_vec(out, &[c * kh * kw, oh * ow])
     }
 
@@ -629,11 +732,14 @@ mod tests {
     }
 
     #[test]
-    fn im2col_into_matches_reference_and_reuses_dirty_buffers() {
-        // Sweep geometries (including pathological padding) against a
-        // direct per-element reference, reusing one scratch buffer
-        // across all calls to prove every element gets written.
-        let mut scratch = vec![f32::NAN; 4]; // dirty, wrong-sized
+    fn padded_sample_matches_im2col_and_reuses_dirty_buffers() {
+        // Sweep geometries (including pathological padding): the padded
+        // copy read through the tap and pixel tables is the column
+        // matrix, element for element, with one dirty, wrong-sized
+        // scratch reused across all calls to prove every element gets
+        // written.
+        let mut scratch = vec![f32::NAN; 4];
+        let (mut taps, mut pix) = (vec![7usize; 3], Vec::new());
         for (c, h, w, kh, kw, ph, pw) in [
             (1, 1, 1, 1, 1, 0, 0),
             (2, 4, 5, 3, 3, 1, 1),
@@ -644,15 +750,15 @@ mod tests {
         ] {
             let x = Tensor::from_vec(
                 (0..c * h * w).map(|v| ((v * 31 + 7) as f32 * 0.13).sin()).collect(),
-                &[c, h, w],
+                &[1, c, h, w],
             );
-            let want = im2col(&x, kh, kw, ph, pw);
-            im2col_into(x.as_slice(), c, h, w, kh, kw, ph, pw, &mut scratch);
-            assert_eq!(
-                want.as_slice(),
-                &scratch[..],
-                "c={c} h={h} w={w} kh={kh} kw={kw} ph={ph} pw={pw}"
-            );
+            let g = Geom::new(&x, &Tensor::zeros(&[1, c, kh, kw]), ph, pw, "test");
+            g.pad_into(x.as_slice(), &mut scratch);
+            g.tables(&mut taps, &mut pix);
+            let want = im2col(&x.index_axis(0, 0), kh, kw, ph, pw);
+            let xpad = &scratch;
+            let got: Vec<f32> = taps.iter().flat_map(|&t| pix.iter().map(move |&j| xpad[t + j])).collect();
+            assert_eq!(want.as_slice(), &got[..], "c={c} h={h} w={w} kh={kh} kw={kw} ph={ph} pw={pw}");
         }
     }
 

@@ -21,10 +21,11 @@
 //! * **Short-M tile** (up to [`SM_ROWS`] = 8 rows × [`SM_COLS`] = 8
 //!   columns; rows are the lanes of one `__m256`): products with
 //!   4 ≤ m ≤ 8 output rows when AVX2+FMA is active — the conv2d
-//!   `W·cols` and `gy·colsᵀ` products and the k = 1 `Wᵀ·gy` at
-//!   `C_out = 8`. Each step broadcasts one element of B straight from
-//!   the unpacked view (dense or transposed) into eight column
-//!   accumulators, so there is no `pack_b` and no `KC` slab. At m ≤ 8
+//!   forward `W·cols` and weight gradient `gy·colsᵀ` at
+//!   4 ≤ `C_out` ≤ 8. Each step broadcasts one element of B straight
+//!   from the unpacked view (dense, transposed, or the conv tap/pixel
+//!   view) into eight column accumulators, so there is no `pack_b` and
+//!   no `KC` slab. At m ≤ 8
 //!   the packed tile re-packs all of B to serve two 4-row panels (or
 //!   runs ragged rows through the scalar edge kernel), which is what
 //!   the short-M tile saves. At m < 4 it idles more than half its
@@ -53,14 +54,23 @@
 //! kernel slot under the workspace's "bit-identical across thread
 //! counts" determinism contract unchanged.
 //!
-//! ## Strided operand views
+//! ## Operand views
 //!
-//! Operands are described by [`MatRef`] (base offset + row/column
-//! stride), so the same packed kernel serves `A@B`, `A@Bᵀ` and `Aᵀ@B`
-//! without materialising a transpose: only the pack-time gather
-//! pattern changes, the arithmetic (and hence the bits) stays
-//! identical. The transposed entry points on [`crate::Tensor`] feed
-//! the autograd backward passes directly.
+//! Operands are described by [`MatRef`]: element `(i, j)` sits at
+//! `off + row(i) + col(j)`, where each [`Axis`] is a stride or an offset
+//! table. Strides serve `A@B`, `A@Bᵀ` and `Aᵀ@B` without materialising
+//! a transpose; the transposed entry points on [`crate::Tensor`] feed
+//! the autograd backward passes directly. Tables serve the conv column
+//! matrix without building it ([`crate::conv`]): `W · cols` reads the
+//! padded sample through a tap × pixel view, `gy · colsᵀ` through the
+//! pixel × tap view. Every tile and the naive loop read through the
+//! view; only the address of each element changes, never the order of
+//! the FMAs, so the bits stay identical.
+//!
+//! Which tile a conv product takes: with AVX2, 4 ≤ `C_out` ≤ 8 runs the
+//! short-M tile; `C_out` > 8 (TimesNet, paper-scale TS3Net) and every
+//! product under `TS3_SIMD=0` run the packed tile, which gathers the
+//! view in `pack_b`; `C_out` < 4 and small products run the naive loop.
 //!
 //! Packing scratch lives in a thread-local and is reused across calls;
 //! with the persistent worker pool (see [`crate::par`]) this makes the
@@ -100,36 +110,78 @@ const DOT_COLS: usize = 8;
 /// crossover is purely a performance choice.
 const PACK_THRESHOLD_FLOPS: usize = 4096;
 
-/// A strided read-only matrix view: element `(i, j)` lives at
-/// `data[off + i * rs + j * cs]`.
+/// How one axis of a [`MatRef`] maps an index to an offset: index `i`
+/// sits `i * s` past the view's base (`Stride(s)`), or `t[i]` past it
+/// (`Table(t)`, the conv tap and pixel tables).
+#[derive(Clone, Copy)]
+pub(crate) enum Axis<'a> {
+    Stride(usize),
+    Table(&'a [usize]),
+}
+
+impl Axis<'_> {
+    #[inline(always)]
+    pub(crate) fn at(self, i: usize) -> usize {
+        match self {
+            Axis::Stride(s) => i * s,
+            Axis::Table(t) => t[i],
+        }
+    }
+
+    /// The largest offset over indices `0..n` (`n >= 1`).
+    pub(crate) fn last(self, n: usize) -> usize {
+        match self {
+            Axis::Stride(s) => (n - 1) * s,
+            Axis::Table(t) => t[..n].iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// True for a contiguous axis (stride 1).
+    #[inline(always)]
+    pub(crate) fn is_unit(self) -> bool {
+        matches!(self, Axis::Stride(1))
+    }
+}
+
+/// A read-only matrix view: element `(i, j)` lives at
+/// `data[off + row.at(i) + col.at(j)]`.
 #[derive(Clone, Copy)]
 pub(crate) struct MatRef<'a> {
     pub data: &'a [f32],
     pub off: usize,
-    pub rs: usize,
-    pub cs: usize,
+    pub row: Axis<'a>,
+    pub col: Axis<'a>,
 }
 
 impl<'a> MatRef<'a> {
     /// Row-major `rows x cols` view of a dense slice.
     pub(crate) fn dense(data: &'a [f32], cols: usize) -> MatRef<'a> {
-        MatRef { data, off: 0, rs: cols, cs: 1 }
+        MatRef { data, off: 0, row: Axis::Stride(cols), col: Axis::Stride(1) }
     }
 
     /// Transposed view of a row-major `rows x cols` slice (i.e. the
     /// `cols x rows` matrix, without moving data).
     pub(crate) fn dense_t(data: &'a [f32], cols: usize) -> MatRef<'a> {
-        MatRef { data, off: 0, rs: 1, cs: cols }
+        MatRef { data, off: 0, row: Axis::Stride(1), col: Axis::Stride(cols) }
+    }
+
+    /// The view `data[row.at(i) + col.at(j)]` of a gathered operand
+    /// (the conv tap × pixel matrix and its transpose).
+    pub(crate) fn gather(data: &'a [f32], row: Axis<'a>, col: Axis<'a>) -> MatRef<'a> {
+        MatRef { data, off: 0, row, col }
     }
 
     /// The same view shifted down by `rows` matrix rows.
     pub(crate) fn shifted(self, rows: usize) -> MatRef<'a> {
-        MatRef { off: self.off + rows * self.rs, ..self }
+        match self.row {
+            Axis::Stride(s) => MatRef { off: self.off + rows * s, ..self },
+            Axis::Table(t) => MatRef { row: Axis::Table(&t[rows..]), ..self },
+        }
     }
 
     #[inline(always)]
     fn at(&self, i: usize, j: usize) -> f32 {
-        self.data[self.off + i * self.rs + j * self.cs]
+        self.data[self.off + self.row.at(i) + self.col.at(j)]
     }
 }
 
@@ -217,15 +269,15 @@ fn pack_a(a: MatRef, ic: usize, pc: usize, mc: usize, kc: usize, buf: &mut Vec<f
     for ip in 0..panels {
         let rows = MR.min(mc - ip * MR);
         let dst = &mut buf[ip * kc * MR..][..kc * MR];
-        if rows == MR && a.cs == 1 {
+        let base = |i: usize| a.off + a.row.at(ic + ip * MR + i);
+        if rows == MR && a.col.is_unit() {
             // Full panel of contiguous rows: walk `p` once and emit one
             // interleaved MR-group per step (a vectorisable transpose
             // pattern) instead of MR strided scatter sweeps.
-            let base = a.off + (ic + ip * MR) * a.rs + pc;
-            let r0 = &a.data[base..][..kc];
-            let r1 = &a.data[base + a.rs..][..kc];
-            let r2 = &a.data[base + 2 * a.rs..][..kc];
-            let r3 = &a.data[base + 3 * a.rs..][..kc];
+            let r0 = &a.data[base(0) + pc..][..kc];
+            let r1 = &a.data[base(1) + pc..][..kc];
+            let r2 = &a.data[base(2) + pc..][..kc];
+            let r3 = &a.data[base(3) + pc..][..kc];
             for (p, grp) in dst.chunks_exact_mut(MR).enumerate().take(kc) {
                 grp[0] = r0[p];
                 grp[1] = r1[p];
@@ -235,15 +287,15 @@ fn pack_a(a: MatRef, ic: usize, pc: usize, mc: usize, kc: usize, buf: &mut Vec<f
             continue;
         }
         for i in 0..rows {
-            let base = a.off + (ic + ip * MR + i) * a.rs + pc * a.cs;
-            if a.cs == 1 {
-                let src = &a.data[base..][..kc];
+            let base = base(i);
+            if a.col.is_unit() {
+                let src = &a.data[base + pc..][..kc];
                 for (p, &v) in src.iter().enumerate() {
                     dst[p * MR + i] = v;
                 }
             } else {
                 for p in 0..kc {
-                    dst[p * MR + i] = a.data[base + p * a.cs];
+                    dst[p * MR + i] = a.data[base + a.col.at(pc + p)];
                 }
             }
         }
@@ -265,15 +317,22 @@ fn pack_b(b: MatRef, pc: usize, jc: usize, kc: usize, nc: usize, buf: &mut Vec<f
     buf.resize(panels * kc * NR, 0.0);
     for jp in 0..panels {
         let cols = NR.min(nc - jp * NR);
+        let j0 = jc + jp * NR;
         let dst = &mut buf[jp * kc * NR..][..kc * NR];
         for p in 0..kc {
-            let base = b.off + (pc + p) * b.rs + (jc + jp * NR) * b.cs;
+            let base = b.off + b.row.at(pc + p);
             let drow = &mut dst[p * NR..][..NR];
-            if b.cs == 1 {
-                drow[..cols].copy_from_slice(&b.data[base..][..cols]);
-            } else {
-                for (j, v) in drow[..cols].iter_mut().enumerate() {
-                    *v = b.data[base + j * b.cs];
+            match b.col {
+                Axis::Stride(1) => drow[..cols].copy_from_slice(&b.data[base + j0..][..cols]),
+                Axis::Stride(cs) => {
+                    for (j, v) in drow[..cols].iter_mut().enumerate() {
+                        *v = b.data[base + (j0 + j) * cs];
+                    }
+                }
+                Axis::Table(t) => {
+                    for (v, &c) in drow[..cols].iter_mut().zip(&t[j0..]) {
+                        *v = b.data[base + c];
+                    }
                 }
             }
             drow[cols..].fill(0.0);
@@ -342,31 +401,30 @@ fn micro_edge(
 /// element always accumulates its products in ascending `p` order —
 /// bit-identical to the packed kernel and to the unblocked reference loop.
 fn gemm_naive(a: MatRef, b: MatRef, out: &mut [f32], m: usize, k: usize, n: usize) {
-    if b.cs == 1 {
+    if b.col.is_unit() {
         for i in 0..m {
             let out_row = &mut out[i * n..(i + 1) * n];
             for p in 0..k {
                 let av = a.at(i, p);
-                let b_row = &b.data[b.off + p * b.rs..][..n];
+                let b_row = &b.data[b.off + b.row.at(p)..][..n];
                 for (o, &bv) in out_row.iter_mut().zip(b_row) {
                     *o = av.mul_add(bv, *o);
                 }
             }
         }
-    } else if a.cs == 1 && b.rs == 1 {
+    } else if a.col.is_unit() && b.row.is_unit() {
         // A rows and B columns are both contiguous: dot-product form.
         // One output's chain is latency-bound, so DOT_COLS columns'
         // chains run side by side, each still folding in ascending `p`.
         for i in 0..m {
-            let a_row = &a.data[a.off + i * a.rs..][..k];
+            let a_row = &a.data[a.off + a.row.at(i)..][..k];
             let out_row = &mut out[i * n..(i + 1) * n];
             for (jb, o) in out_row.chunks_mut(DOT_COLS).enumerate() {
+                let col = |j: usize| &b.data[b.off + b.col.at(jb * DOT_COLS + j)..][..k];
                 let mut acc = [0.0f32; DOT_COLS];
                 acc[..o.len()].copy_from_slice(o);
                 if o.len() == DOT_COLS {
-                    let base = b.off + jb * DOT_COLS * b.cs;
-                    let cols: [&[f32]; DOT_COLS] =
-                        std::array::from_fn(|j| &b.data[base + j * b.cs..][..k]);
+                    let cols: [&[f32]; DOT_COLS] = std::array::from_fn(col);
                     for (p, &av) in a_row.iter().enumerate() {
                         for (acc_j, col) in acc.iter_mut().zip(&cols) {
                             *acc_j = av.mul_add(col[p], *acc_j);
@@ -374,8 +432,7 @@ fn gemm_naive(a: MatRef, b: MatRef, out: &mut [f32], m: usize, k: usize, n: usiz
                     }
                 } else {
                     for (j, acc_j) in acc.iter_mut().enumerate().take(o.len()) {
-                        let col = &b.data[b.off + (jb * DOT_COLS + j) * b.cs..][..k];
-                        for (&av, &bv) in a_row.iter().zip(col) {
+                        for (&av, &bv) in a_row.iter().zip(col(j)) {
                             *acc_j = av.mul_add(bv, *acc_j);
                         }
                     }
@@ -384,13 +441,16 @@ fn gemm_naive(a: MatRef, b: MatRef, out: &mut [f32], m: usize, k: usize, n: usiz
             }
         }
     } else {
+        // Any other view (the conv tap and pixel tables): axpy over B's
+        // rows, gathered element by element.
         for i in 0..m {
-            for j in 0..n {
-                let mut acc = out[i * n + j];
-                for p in 0..k {
-                    acc = a.at(i, p).mul_add(b.at(p, j), acc);
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for p in 0..k {
+                let av = a.at(i, p);
+                let row = b.off + b.row.at(p);
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    *o = av.mul_add(b.data[row + b.col.at(j)], *o);
                 }
-                out[i * n + j] = acc;
             }
         }
     }

@@ -3,8 +3,8 @@
 //! A dense, row-major, `f32` n-dimensional tensor library written from
 //! scratch for the TS3Net reproduction. It provides exactly the operations
 //! the paper's model zoo needs: broadcasting elementwise arithmetic,
-//! reductions, (batched) matrix multiplication, 1-D/2-D convolution via
-//! `im2col`, shape manipulation (reshape / permute / slice / concat / pad),
+//! reductions, (batched) matrix multiplication, column-free 1-D/2-D
+//! convolution, shape manipulation (reshape / permute / slice / concat / pad),
 //! and seeded random initialisation.
 //!
 //! ## Design
@@ -45,9 +45,7 @@ pub mod shape;
 pub mod simd;
 mod tensor;
 
-pub use conv::{
-    avg_pool_axis, conv1d, conv2d, conv2d_backward, im2col_into, moving_avg_same, moving_avg_same_into,
-};
+pub use conv::{avg_pool_axis, conv1d, conv2d, conv2d_backward, moving_avg_same, moving_avg_same_into};
 pub use error::TensorError;
 pub use shape::{broadcast_shapes, strides_for, Shape};
 pub use tensor::Tensor;

@@ -2,9 +2,11 @@
 //! axis permutation.
 //!
 //! [`Tensor::try_matmul`] (`A @ B`), [`Tensor::try_matmul_tb`]
-//! (`A @ Bᵀ`), [`Tensor::try_matmul_ta`] (`Aᵀ @ B`) and their panicking
-//! wrappers are one path: a private resolver reads `(batch, m, k, n)`
-//! from the two ranks and two transpose flags, checks the shapes and
+//! (`A @ Bᵀ`), [`Tensor::try_matmul_ta`] (`Aᵀ @ B`),
+//! [`Tensor::try_matmul_ta_flat`] (`Aᵀ @ B` over stacked leading axes)
+//! and their panicking wrappers are one path: a private resolver reads
+//! `(batch, m, k, n)` from the two ranks (the flat entry reads both
+//! operands as rank 2) and two transpose flags, checks the shapes and
 //! opens the `tensor.matmul` span, and one dispatcher runs the packed
 //! kernel [`crate::gemm`] on dense or transposed [`MatRef`] views (no
 //! transpose is materialised). A rank-2 `rhs` is shared: the output
@@ -49,6 +51,16 @@ fn matmul_span(b: usize, m: usize, k: usize, n: usize, shared_rhs: bool) -> ts3_
     s
 }
 
+/// `[rows, cols]`: a shape of rank 2 or more read as one matrix over all
+/// its leading axes (other ranks pass through, for the product to
+/// refuse).
+fn flat_shape(shape: &[usize]) -> Vec<usize> {
+    match shape.split_last() {
+        Some((&cols, lead)) if !lead.is_empty() => vec![lead.iter().product(), cols],
+        _ => shape.to_vec(),
+    }
+}
+
 /// Row-major view of a stored `[rows, cols]` matrix, transposed when `t`.
 fn view(data: &[f32], cols: usize, t: bool) -> MatRef<'_> {
     if t {
@@ -66,7 +78,7 @@ impl Tensor {
     /// * `[b,m,k] @ [k,n] -> [b,m,n]` (shared rhs)
     /// * `[b,m,k] @ [b,k,n] -> [b,m,n]` (batched)
     pub fn try_matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product(rhs, false, false, "matmul")
+        self.product(&self.shape, rhs, &rhs.shape, false, false, "matmul")
     }
 
     /// Panicking wrapper over [`Tensor::try_matmul`].
@@ -86,7 +98,7 @@ impl Tensor {
     /// kernel only changes its pack-time gather pattern, never the
     /// per-element accumulation order.
     pub fn try_matmul_tb(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product(rhs, false, true, "matmul_tb")
+        self.product(&self.shape, rhs, &rhs.shape, false, true, "matmul_tb")
     }
 
     /// Panicking wrapper over [`Tensor::try_matmul_tb`].
@@ -103,7 +115,7 @@ impl Tensor {
     ///
     /// Bit-identical to `self.transpose().matmul(rhs)`.
     pub fn try_matmul_ta(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product(rhs, true, false, "matmul_ta")
+        self.product(&self.shape, rhs, &rhs.shape, true, false, "matmul_ta")
     }
 
     /// Panicking wrapper over [`Tensor::try_matmul_ta`].
@@ -112,12 +124,38 @@ impl Tensor {
         self.try_matmul_ta(rhs).expect("matmul_ta: incompatible shapes")
     }
 
-    /// The one product path: `op(self) @ op(rhs)`, where `ta` / `tb`
-    /// read the stored operand as its transpose. Here `m` is the output
-    /// row count and `k` the shared dimension, whichever operand is
-    /// transposed. `ta` takes no shared rhs (`3 @ 2` is refused).
-    fn product(&self, rhs: &Tensor, ta: bool, tb: bool, op: &'static str) -> Result<Tensor> {
-        let (ra, rb) = (self.rank(), rhs.rank());
+    /// `selfᵀ @ rhs` with both operands read in place as matrices over
+    /// all their leading axes: `[.., m, k]ᵀ @ [.., m, n] -> [k, n]`, the
+    /// rows of every batch entry stacked (`[b·m, k]ᵀ @ [b·m, n]`). The
+    /// weight gradient of a shared-rhs product. Bit-identical to
+    /// reshaping both operands to rank 2 first, without the copies.
+    pub fn try_matmul_ta_flat(&self, rhs: &Tensor) -> Result<Tensor> {
+        let (sa, sb) = (flat_shape(&self.shape), flat_shape(&rhs.shape));
+        self.product(&sa, rhs, &sb, true, false, "matmul_ta_flat")
+    }
+
+    /// Panicking wrapper over [`Tensor::try_matmul_ta_flat`].
+    pub fn matmul_ta_flat(&self, rhs: &Tensor) -> Tensor {
+        // ts3-lint: allow(no-unwrap-in-lib) documented panicking convenience wrapper; the shape contract is this method's # Panics section
+        self.try_matmul_ta_flat(rhs).expect("matmul_ta_flat: incompatible shapes")
+    }
+
+    /// The one product path: `op(self) @ op(rhs)`, with `self` and `rhs`
+    /// read as shaped `sa` and `sb` (their own shapes, or the rank-2
+    /// [`flat_shape`]s). `ta` / `tb` read the stored operand as its
+    /// transpose. Here `m` is the output row count and `k` the shared
+    /// dimension, whichever operand is transposed. `ta` takes no shared
+    /// rhs (`3 @ 2` is refused).
+    fn product(
+        &self,
+        sa: &[usize],
+        rhs: &Tensor,
+        sb: &[usize],
+        ta: bool,
+        tb: bool,
+        op: &'static str,
+    ) -> Result<Tensor> {
+        let (ra, rb) = (sa.len(), sb.len());
         let batched = match (ra, rb) {
             (2, 2) => false,
             (3, 2) if !ta => false,
@@ -129,12 +167,12 @@ impl Tensor {
             }
         };
         // Stored matrix dims of one lhs and one rhs entry.
-        let (ar, ac) = (self.shape[ra - 2], self.shape[ra - 1]);
-        let (br, bc) = (rhs.shape[rb - 2], rhs.shape[rb - 1]);
+        let (ar, ac) = (sa[ra - 2], sa[ra - 1]);
+        let (br, bc) = (sb[rb - 2], sb[rb - 1]);
         let (m, k) = if ta { (ac, ar) } else { (ar, ac) };
         let (k2, n) = if tb { (bc, br) } else { (br, bc) };
-        let batch = if ra == 3 { self.shape[0] } else { 1 };
-        if k != k2 || (batched && rhs.shape[0] != batch) {
+        let batch = if ra == 3 { sa[0] } else { 1 };
+        if k != k2 || (batched && sb[0] != batch) {
             return Err(TensorError::ShapeMismatch {
                 lhs: self.shape.clone(),
                 rhs: rhs.shape.clone(),
@@ -527,6 +565,23 @@ mod tests {
             bits(x.matmul_ta(&g).as_slice())
         );
         assert!(x.try_matmul_ta(&Tensor::ones(&[4, 8, 9])).is_err());
+    }
+
+    #[test]
+    fn matmul_ta_flat_matches_reshaped_operands() {
+        // [b,m,k]ᵀ @ [b,m,n] over stacked rows: bitwise the rank-2
+        // product of the reshaped copies, in either operand order, and
+        // rank 2 passes through unchanged.
+        for (b, m, k, n) in [(1, 1, 1, 1), (3, 7, 5, 9), (4, 16, 33, 17), (8, 12, 8, 8)] {
+            let x = Tensor::randn(&[b, m, k], (b * 100 + k) as u64);
+            let g = Tensor::randn(&[b, m, n], (m * 10 + n) as u64);
+            let (x2, g2) = (x.reshape(&[b * m, k]), g.reshape(&[b * m, n]));
+            assert_eq!(bits(x.matmul_ta_flat(&g).as_slice()), bits(x2.matmul_ta(&g2).as_slice()));
+            assert_eq!(bits(g.matmul_ta_flat(&x).as_slice()), bits(g2.matmul_ta(&x2).as_slice()));
+            assert_eq!(bits(x2.matmul_ta_flat(&g2).as_slice()), bits(x2.matmul_ta(&g2).as_slice()));
+        }
+        assert!(Tensor::ones(&[2, 3, 4]).try_matmul_ta_flat(&Tensor::ones(&[2, 4, 4])).is_err());
+        assert!(Tensor::ones(&[3]).try_matmul_ta_flat(&Tensor::ones(&[3])).is_err());
     }
 
     #[test]

@@ -238,11 +238,12 @@ pub(crate) fn short_m_dispatch(
 /// one `__m256`, and an 8-column block of the output sits in eight
 /// accumulators (one per column). Each step `p` loads A's column `p`
 /// (packed once, zero past row `m`) and folds in eight broadcast
-/// elements of B's row `p`, read straight from the strided view, with
-/// one `_mm256_fmadd_ps` each. Every output keeps its one FMA chain in
-/// ascending `p`, starting from `out`, so the result is bit-identical
-/// to the packed kernel and the naive loop. The output tile enters and
-/// leaves the registers through an 8×8 transpose (data moves only).
+/// elements of B's row `p`, read straight from the view (strided or
+/// through the conv tap/pixel tables), with one `_mm256_fmadd_ps`
+/// each. Every output keeps its one FMA chain in ascending `p`,
+/// starting from `out`, so the result is bit-identical to the packed
+/// kernel and the naive loop. The output tile enters and leaves the
+/// registers through an 8×8 transpose (data moves only).
 ///
 /// # Safety
 ///
@@ -263,24 +264,59 @@ unsafe fn short_m_avx2(
     n: usize,
     apack: &mut Vec<f32>,
 ) {
-    use crate::gemm::{SM_COLS, SM_ROWS};
-    use core::arch::x86_64::*;
+    use crate::gemm::{Axis, SM_ROWS};
     assert!((1..=SM_ROWS).contains(&m) && k >= 1 && n >= 1, "short_m_avx2: empty or tall shape");
-    assert_eq!(out.len(), m * n, "short_m_avx2: output length");
-    // The last element of B the raw loads read (strides are
-    // non-negative); A is packed through checked indexing.
-    assert!(b.off + (k - 1) * b.rs + (n - 1) * b.cs < b.data.len(), "short_m_avx2: B out of bounds");
     apack.clear();
     apack.resize(k * SM_ROWS, 0.0);
     for i in 0..m {
         for p in 0..k {
-            apack[p * SM_ROWS + i] = a.data[a.off + i * a.rs + p * a.cs];
+            apack[p * SM_ROWS + i] = a.data[a.off + a.row.at(i) + a.col.at(p)];
         }
     }
-    // SAFETY: `apack` holds `k * SM_ROWS` floats; every B read is
-    // `b.off + p * b.rs + j * b.cs` with `p < k`, `j < n`, in bounds by
-    // the assert above; output loads/stores touch `out[i * n + j0 ..][..nc]`
-    // with `i < m`, `j0 + nc <= n`, inside `out.len() == m * n`.
+    // SAFETY: as for this function; `short_m_tiles` asserts every bound
+    // its raw loads and stores rely on.
+    unsafe {
+        match b.row {
+            Axis::Stride(rs) => short_m_tiles(b, (0..k).map(move |p| p * rs), out, m, n, apack),
+            Axis::Table(t) => short_m_tiles(b, t[..k].iter().copied(), out, m, n, apack),
+        }
+    }
+}
+
+/// The column-block loop of [`short_m_avx2`], with B's row offsets
+/// (`b.row.at(p)` for `p` in `0..k`) given as an iterator so the strided
+/// and the table view each compile to a plain loop.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA. Operand and output bounds are
+/// asserted inside.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+// SAFETY: `unsafe` only because of `target_feature` — reached solely
+// through `short_m_avx2`. Raw loads/stores are covered by the asserts at
+// the top of the body.
+unsafe fn short_m_tiles(
+    b: MatRef,
+    rows: impl Iterator<Item = usize> + Clone,
+    out: &mut [f32],
+    m: usize,
+    n: usize,
+    apack: &[f32],
+) {
+    use crate::gemm::{SM_COLS, SM_ROWS};
+    use core::arch::x86_64::*;
+    assert_eq!(out.len(), m * n, "short_m_avx2: output length");
+    assert_eq!(apack.len(), rows.clone().count() * SM_ROWS, "short_m_avx2: packed A length");
+    // The last element of B the raw loads read (offsets are
+    // non-negative).
+    let last_row = rows.clone().max().unwrap_or(0);
+    assert!(b.off + last_row + b.col.last(n) < b.data.len(), "short_m_avx2: B out of bounds");
+    // SAFETY: `apack` holds `SM_ROWS` floats per row offset; every B read is
+    // `b.off + row + b.col.at(j)` with `row` from `rows` and `j < n`, in
+    // bounds by the assert above; output loads/stores touch
+    // `out[i * n + j0 ..][..nc]` with `i < m`, `j0 + nc <= n`, inside
+    // `out.len() == m * n`.
     unsafe {
         let ap = apack.as_ptr();
         let bd = b.data.as_ptr().add(b.off);
@@ -288,9 +324,9 @@ unsafe fn short_m_avx2(
         for j0 in (0..n).step_by(SM_COLS) {
             let nc = SM_COLS.min(n - j0);
             // Row i of the tile, columns j0 .. j0 + nc, zero-padded.
-            let mut rows = [_mm256_setzero_ps(); SM_ROWS];
+            let mut tile = [_mm256_setzero_ps(); SM_ROWS];
             let mut tmp = [0.0f32; SM_COLS];
-            for (i, r) in rows.iter_mut().enumerate().take(m) {
+            for (i, r) in tile.iter_mut().enumerate().take(m) {
                 *r = if nc == SM_COLS {
                     _mm256_loadu_ps(o.add(i * n + j0))
                 } else {
@@ -298,13 +334,13 @@ unsafe fn short_m_avx2(
                     _mm256_loadu_ps(tmp.as_ptr())
                 };
             }
-            let mut acc = transpose8(rows);
-            if nc == SM_COLS && b.cs == 1 {
+            let mut acc = transpose8(tile);
+            if nc == SM_COLS && b.col.is_unit() {
                 // B's row segment is contiguous: one pointer, fixed offsets.
                 let row0 = bd.add(j0);
-                for p in 0..k {
+                for (p, off) in rows.clone().enumerate() {
                     let av = _mm256_loadu_ps(ap.add(p * SM_ROWS));
-                    let bp = row0.add(p * b.rs);
+                    let bp = row0.add(off);
                     for (j, acc_j) in acc.iter_mut().enumerate() {
                         *acc_j = _mm256_fmadd_ps(av, _mm256_broadcast_ss(&*bp.add(j)), *acc_j);
                     }
@@ -313,17 +349,16 @@ unsafe fn short_m_avx2(
                 // A ragged block reads its last real column again in the
                 // spare accumulators, which are never stored.
                 let cols: [*const f32; SM_COLS] =
-                    core::array::from_fn(|j| bd.add((j0 + j.min(nc - 1)) * b.cs));
-                for p in 0..k {
+                    core::array::from_fn(|j| bd.add(b.col.at(j0 + j.min(nc - 1))));
+                for (p, off) in rows.clone().enumerate() {
                     let av = _mm256_loadu_ps(ap.add(p * SM_ROWS));
-                    let off = p * b.rs;
                     for (acc_j, col) in acc.iter_mut().zip(&cols) {
                         *acc_j = _mm256_fmadd_ps(av, _mm256_broadcast_ss(&*col.add(off)), *acc_j);
                     }
                 }
             }
-            let rows = transpose8(acc);
-            for (i, r) in rows.iter().enumerate().take(m) {
+            let tile = transpose8(acc);
+            for (i, r) in tile.iter().enumerate().take(m) {
                 if nc == SM_COLS {
                     _mm256_storeu_ps(o.add(i * n + j0), *r);
                 } else {

@@ -18,6 +18,13 @@ cargo build --release --workspace --offline
 
 echo "== 2/11 test suite =="
 cargo test -q --workspace --offline
+# The scalar path. TS3_SIMD=0 turns the explicit AVX2 kernels off, so
+# gemm's naive loop and packed tile serve every product the short-M tile
+# serves otherwise, conv's tap/pixel views included: the tensor and
+# autograd suites and the schedule-fuzz sweep must hold bit for bit there
+# too.
+TS3_SIMD=0 cargo test -q --offline -p ts3-tensor -p ts3-autograd
+TS3_SIMD=0 cargo test -q --offline --test sched_fuzz_sweep
 
 echo "== 3/11 rustdoc incl. private items (warnings are errors) =="
 # --document-private-items keeps internal doc comments (executor loop,
