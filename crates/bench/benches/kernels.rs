@@ -121,6 +121,29 @@ fn bench_conv2d(h: &mut Harness) {
             conv2d_backward(black_box(&x), black_box(&w), black_box(&g), k / 2, k / 2)
         });
     }
+    if !smoke() {
+        bench_conv2d_narrow(h);
+    }
+}
+
+fn bench_conv2d_narrow(h: &mut Harness) {
+    // TimesNet's inception runs on each period's [T/p, p] fold of the
+    // series, so its planes are narrow: width 8 at period 6 (rows of
+    // fewer than 8 output pixels), and paper width 64 at period 24
+    // (C_out > 8, past the short-M tile).
+    for (c, rows, p, ks) in [(8, 16, 6, &[1, 3, 5][..]), (64, 4, 24, &[3][..])] {
+        let x = Tensor::randn(&[8, c, rows, p], 13);
+        let g = Tensor::randn(&[8, c, rows, p], 14);
+        for &k in ks {
+            let w = Tensor::randn(&[c, c, k, k], 15);
+            h.bench(&format!("conv2d/d{c}_{rows}x{p}_k{k}"), || {
+                conv2d(black_box(&x), black_box(&w), k / 2, k / 2)
+            });
+            h.bench(&format!("conv2d_backward/d{c}_{rows}x{p}_k{k}"), || {
+                conv2d_backward(black_box(&x), black_box(&w), black_box(&g), k / 2, k / 2)
+            });
+        }
+    }
 }
 
 fn bench_gelu(h: &mut Harness) {
