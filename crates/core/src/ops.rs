@@ -74,8 +74,10 @@ pub fn cwt_amplitude(x: &Var, plan: &Rc<CwtPlan>) -> Var {
 /// Each batch row's `D` grids are gathered into one `[lambda, T, D]`
 /// grid and inverted by a single [`CwtPlan::inverse_into`] call, which is
 /// bitwise the `D` single-series inverses and writes the row's `[T, D]`
-/// output in place. The backward writes `recon[i] · g` per lane straight
-/// into the coefficient gradient.
+/// output in place. The backward gathers each lane's `T`-long output
+/// gradient into one reused buffer and writes its
+/// [`CwtPlan::inverse_adjoint_into`] straight into the coefficient
+/// gradient.
 pub fn iwt(w: &Var, plan: &Rc<CwtPlan>) -> Var {
     let wv = w.value();
     assert_eq!(wv.rank(), 4, "iwt expects [B, D, lambda, T]");
@@ -100,13 +102,13 @@ pub fn iwt(w: &Var, plan: &Rc<CwtPlan>) -> Var {
     let backward = move |grad: &Tensor, _: &[Var]| {
         let gs = grad.as_slice();
         let mut gw = vec![0.0f32; b * d * lane_len];
+        let mut col = vec![0.0f32; t];
         for (l, lane) in gw.chunks_exact_mut(lane_len).enumerate() {
             let (bi, di) = (l / d, l % d);
-            for (row, &wi) in lane.chunks_exact_mut(t).zip(plan.inverse_weights()) {
-                for (ti, v) in row.iter_mut().enumerate() {
-                    *v = wi * gs[(bi * t + ti) * d + di];
-                }
+            for (ti, c) in col.iter_mut().enumerate() {
+                *c = gs[(bi * t + ti) * d + di];
             }
+            plan.inverse_adjoint_into(&col, lane);
         }
         vec![Some(Tensor::from_vec(gw, &[b, d, lambda, t]))]
     };
@@ -222,7 +224,7 @@ mod tests {
     fn iwt_matches_plan_per_lane() {
         // Three batch rows of three channels: each output column is
         // bitwise the single-series `inverse` of its lane, and each lane
-        // of the gradient is bitwise its `inverse_adjoint`, added into
+        // of the gradient is bitwise its `inverse_adjoint_into`, added into
         // zeros.
         let p = plan(24, 3);
         let (b, d, t) = (3, 3, 24);
@@ -240,7 +242,9 @@ mod tests {
                     assert_eq!(got.to_bits(), want.to_bits(), "y ({bi},{ti},{di})");
                 }
                 let col: Vec<f32> = (0..t).map(|ti| g.at(&[bi, ti, di])).collect();
-                for (k, want) in p.inverse_adjoint(&col).into_iter().enumerate() {
+                let mut adj = vec![0.0f32; 3 * t];
+                p.inverse_adjoint_into(&col, &mut adj);
+                for (k, want) in adj.into_iter().enumerate() {
                     let (want, got) = (0.0 + want, gw.at(&[bi, di, k / t, k % t]));
                     assert_eq!(got.to_bits(), want.to_bits(), "gw ({bi},{di},{k})");
                 }

@@ -756,22 +756,17 @@ impl CwtPlan {
         }
     }
 
-    /// The `lambda` reconstruction weights of [`CwtPlan::inverse`], one
-    /// per scale: row `i` of the grid is scaled by `inverse_weights()[i]`.
-    pub fn inverse_weights(&self) -> &[f32] {
-        &self.recon
-    }
-
-    /// Adjoint of [`CwtPlan::inverse`]: maps a length-`T` cotangent to a
-    /// `[lambda, T]` cotangent (each row scaled by its weight).
-    pub fn inverse_adjoint(&self, g: &[f32]) -> Vec<f32> {
+    /// Adjoint of [`CwtPlan::inverse`]: writes the `[lambda, T]`
+    /// cotangent of a length-`T` cotangent `g` into `out` (row `i` is `g`
+    /// scaled by scale `i`'s reconstruction weight).
+    pub fn inverse_adjoint_into(&self, g: &[f32], out: &mut [f32]) {
         assert_eq!(g.len(), self.t_len, "inverse_adjoint: length mismatch");
-        let mut out = Vec::with_capacity(self.lambda * self.t_len);
-        for i in 0..self.lambda {
-            let wi = self.recon[i];
-            out.extend(g.iter().map(|&v| wi * v));
+        assert_eq!(out.len(), self.lambda * self.t_len, "inverse_adjoint: output length mismatch");
+        for (row, &wi) in out.chunks_exact_mut(self.t_len).zip(&self.recon) {
+            for (o, &v) in row.iter_mut().zip(g) {
+                *o = wi * v;
+            }
         }
-        out
     }
 
     /// Convenience: amplitude TF tensor of shape `[lambda, T]`.
@@ -903,11 +898,9 @@ mod tests {
         let w: Vec<f32> = (0..128).map(|i| (i as f32 * 0.17).sin()).collect();
         let g: Vec<f32> = (0..32).map(|i| (i as f32 * 0.31).cos()).collect();
         let lhs: f32 = plan.inverse(&w).iter().zip(&g).map(|(a, b)| a * b).sum();
-        let rhs: f32 = w
-            .iter()
-            .zip(plan.inverse_adjoint(&g).iter())
-            .map(|(a, b)| a * b)
-            .sum();
+        let mut adj = vec![f32::NAN; 128];
+        plan.inverse_adjoint_into(&g, &mut adj);
+        let rhs: f32 = w.iter().zip(&adj).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0));
     }
 

@@ -126,10 +126,11 @@ impl Geom {
     }
 
     /// Run `f(bi, xpad, taps, pix, row)` for each sample `bi` of `input`
-    /// on the worker that owns it: `f` gets the sample's padded copy, the
+    /// on the worker that owns it: `f` gets the sample's padded plane, the
     /// shared tap and pixel axes, and the sample's `row`-wide row of
-    /// `out`. The pixel axis is a plain stride when the output plane is
-    /// one contiguous run of the padded plane (one output row, or no
+    /// `out`. With no padding the padded plane is the sample itself, read
+    /// in place. The pixel axis is a plain stride when the output plane
+    /// is one contiguous run of the padded plane (one output row, or no
     /// column padding with `KW = 1`).
     fn per_sample<F>(&self, input: &Tensor, out: &mut [f32], row: usize, f: F)
     where
@@ -147,9 +148,15 @@ impl Geom {
             let pix = if self.oh == 1 || self.ow == self.wp() { Axis::Stride(1) } else { Axis::Table(pix) };
             crate::par::par_rows_mut(out, row, 1, |b0, block| {
                 XPAD.with(|cell| {
-                    let xpad = &mut *cell.borrow_mut();
+                    let scratch = &mut *cell.borrow_mut();
                     for (bi, r) in (b0..).zip(block.chunks_mut(row)) {
-                        self.pad_into(&src[bi * in_sample..(bi + 1) * in_sample], xpad);
+                        let x = &src[bi * in_sample..(bi + 1) * in_sample];
+                        let xpad = if self.ph == 0 && self.pw == 0 {
+                            x
+                        } else {
+                            self.pad_into(x, scratch);
+                            &scratch[..]
+                        };
                         f(bi, xpad, taps, pix, r);
                     }
                 });
@@ -199,9 +206,12 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
     Tensor::from_vec(out, &[b, cout, g.oh, g.ow])
 }
 
-/// Input channels whose input-gradient chains [`input_grad_add`] runs
-/// side by side.
+/// Input channels × output pixels of chains that [`input_grad_add`]
+/// runs side by side. A tap whose run of output pixels is shorter than
+/// `GX_PIX`, or a plane with fewer than `GX_CI` channels, runs one chain
+/// at a time.
 const GX_CI: usize = 2;
+const GX_PIX: usize = 32;
 
 /// Add one sample's input gradient into `gx` (`[Ci, H, W]`), given its
 /// output gradient `gy` (`[Co, OH·OW]`) and the weight re-laid as
@@ -209,94 +219,124 @@ const GX_CI: usize = 2;
 ///
 /// For each tap `(ki, kj)` in ascending order, each input pixel the tap
 /// reaches gets one `C_out`-term chain `Σ_co w·gy`, folded in ascending
-/// `co` from `+0.0` and then added into `gx`. The tap's output span is
-/// clipped to the pixels that read the input, not padded: a padded `gy`
-/// would add `w·0` terms, which an infinite `w` turns into NaN. These
-/// are the operations of `Wᵀ · gy` followed by the `col2im` fold, so the
-/// bits are the same.
+/// `co` from `+0.0` and then added into `gx`. The tap reaches the output
+/// pixels of rows `oi_lo..oi_hi` and columns `lo..hi`; the others read
+/// padding. These are clipped, not padded: a padded `gy` would add `w·0`
+/// terms, which an infinite `w` turns into NaN. These are the operations
+/// of `Wᵀ · gy` followed by the `col2im` fold, so the bits are the same.
 fn input_grad_add(g: &Geom, wt: &[f32], gy: &[f32], gx: &mut [f32]) {
     let (cin, cout, h, w, ow) = (g.cin, g.cout, g.h, g.w, g.ow);
     for ki in 0..g.kh {
         // Output rows whose input row oi + ki - ph is in range.
         let oi_lo = g.ph.saturating_sub(ki).min(g.oh);
-        let oi_hi = (h + g.ph).saturating_sub(ki).min(g.oh).max(oi_lo);
+        let oi_hi = (h + g.ph).saturating_sub(ki).min(g.oh);
         for kj in 0..g.kw {
             let lo = g.pw.saturating_sub(kj).min(ow);
-            let hi = (w + g.pw).saturating_sub(kj).min(ow).max(lo);
-            if hi == lo {
-                continue; // every output column reads padding
+            let hi = (w + g.pw).saturating_sub(kj).min(ow);
+            if oi_hi <= oi_lo || hi <= lo {
+                continue; // every output pixel reads padding
             }
-            let wtap = &wt[(ki * g.kw + kj) * cout * cin..][..cout * cin];
-            for oi in oi_lo..oi_hi {
-                // Output pixel (oi, oj) adds into channel 0's gx at
-                // `at + oj - pw`.
-                let row = TapRow { wtap, gy_row: oi * ow, at: (oi + ki - g.ph) * w + kj, lo, hi };
-                let mut ci0 = 0;
-                while ci0 + GX_CI <= cin {
-                    row.chains::<GX_CI>(g, gy, gx, ci0);
-                    ci0 += GX_CI;
-                }
-                for ci in ci0..cin {
-                    row.chains::<1>(g, gy, gx, ci);
-                }
+            let tap = Tap {
+                wtap: &wt[(ki * g.kw + kj) * cout * cin..][..cout * cin],
+                ki,
+                kj,
+                lo,
+                hi,
+                start: oi_lo * ow + lo,
+                end: (oi_hi - 1) * ow + hi,
+            };
+            if tap.end - tap.start >= GX_PIX && cin >= GX_CI {
+                tap.blocks::<GX_CI, GX_PIX>(g, gy, gx);
+            } else {
+                tap.blocks::<1, 1>(g, gy, gx);
             }
         }
     }
 }
 
-/// One tap's clipped output span `lo..hi` on one output row.
-struct TapRow<'a> {
-    /// The tap's `[Co, Ci]` weights.
+/// One tap of the input gradient: its `[Co, Ci]` weights and the output
+/// pixels it reaches, as the run `start..end` of the flattened `OH·OW`
+/// plane. The run crosses output rows; its pixels outside columns
+/// `lo..hi` read padding, so their chains are computed and dropped.
+struct Tap<'a> {
     wtap: &'a [f32],
-    /// Offset of the output row in a `gy` channel.
-    gy_row: usize,
-    /// `gx` offset of output pixel `oj` in channel 0, plus `pw`.
-    at: usize,
+    ki: usize,
+    kj: usize,
     lo: usize,
     hi: usize,
+    start: usize,
+    end: usize,
 }
 
-impl TapRow<'_> {
-    /// The chains of `C` input channels from `ci0`, in blocks of 32
-    /// pixels, of 8 when the span is shorter, else one by one.
+impl Tap<'_> {
+    /// Every chain of the run, `C` channels × `PIX` pixels side by side
+    /// (`C` at most `Ci`, `PIX` at most the run): each step loads `gy`
+    /// once for all `C` channels. The last block along each axis is
+    /// shifted back to end at the axis's end, and adds only the chains
+    /// the blocks before it left.
     #[inline(always)]
-    fn chains<const C: usize>(&self, g: &Geom, gy: &[f32], gx: &mut [f32], ci0: usize) {
-        match self.hi - self.lo {
-            32.. => self.blocks::<C, 32>(g, gy, gx, ci0),
-            8.. => self.blocks::<C, 8>(g, gy, gx, ci0),
-            _ => self.blocks::<C, 1>(g, gy, gx, ci0),
+    fn blocks<const C: usize, const PIX: usize>(&self, g: &Geom, gy: &[f32], gx: &mut [f32]) {
+        let (p, cin) = (g.p(), g.cin);
+        let mut next_ci = 0;
+        while next_ci < cin {
+            let ci0 = next_ci.min(cin - C);
+            let mut next = self.start;
+            while next < self.end {
+                let j0 = next.min(self.end - PIX);
+                let mut acc = [[0.0f32; PIX]; C];
+                for (gyc, wrow) in gy.chunks_exact(p).zip(self.wtap.chunks_exact(cin)) {
+                    // ts3-lint: allow(no-unwrap-in-lib) both slices are exactly PIX / C long; conversion cannot fail
+                    let gv: &[f32; PIX] = gyc[j0..][..PIX].try_into().unwrap();
+                    // ts3-lint: allow(no-unwrap-in-lib) both slices are exactly PIX / C long; conversion cannot fail
+                    let wv: &[f32; C] = wrow[ci0..ci0 + C].try_into().unwrap();
+                    for c in 0..C {
+                        for l in 0..PIX {
+                            acc[c][l] = wv[c].mul_add(gv[l], acc[c][l]);
+                        }
+                    }
+                }
+                self.add(g, &acc, ci0, next_ci - ci0, j0, next - j0, gx);
+                next = j0 + PIX;
+            }
+            next_ci = ci0 + C;
         }
     }
 
-    /// `C` channels × `PIX` pixels of chains side by side (`PIX` at most
-    /// the span): each step loads `gy` once for all `C` channels. The
-    /// last block is shifted back to end at `hi` and adds only the
-    /// pixels the block before it left.
+    /// Add lanes `from..` of the chains `acc` (channel `ci0 + c`, lane
+    /// `l` the output pixel `j0 + l`) into `gx`, skipping the first
+    /// `skip` channels, one output row's columns `lo..hi` at a time.
+    /// `acc` stays a fixed-size array so the block's chains can live in
+    /// registers.
+    #[allow(clippy::too_many_arguments)] // one block's coordinates
     #[inline(always)]
-    fn blocks<const C: usize, const PIX: usize>(&self, g: &Geom, gy: &[f32], gx: &mut [f32], ci0: usize) {
-        let (p, plane) = (g.p(), g.h * g.w);
-        let mut next = self.lo;
-        while next < self.hi {
-            let oj = next.min(self.hi - PIX);
-            let mut acc = [[0.0f32; PIX]; C];
-            for (gyc, wrow) in gy.chunks_exact(p).zip(self.wtap.chunks_exact(g.cin)) {
-                // ts3-lint: allow(no-unwrap-in-lib) both slices are exactly PIX / C long; conversion cannot fail
-                let gv: &[f32; PIX] = gyc[self.gy_row + oj..][..PIX].try_into().unwrap();
-                // ts3-lint: allow(no-unwrap-in-lib) both slices are exactly PIX / C long; conversion cannot fail
-                let wv: &[f32; C] = wrow[ci0..ci0 + C].try_into().unwrap();
-                for c in 0..C {
-                    for l in 0..PIX {
-                        acc[c][l] = wv[c].mul_add(gv[l], acc[c][l]);
+    fn add<const C: usize, const PIX: usize>(
+        &self,
+        g: &Geom,
+        acc: &[[f32; PIX]; C],
+        ci0: usize,
+        skip: usize,
+        j0: usize,
+        from: usize,
+        gx: &mut [f32],
+    ) {
+        let (ow, plane) = (g.ow, g.h * g.w);
+        let mut l = from;
+        while l < PIX {
+            let (oi, oj) = ((j0 + l) / ow, (j0 + l) % ow);
+            let row_end = (l + ow - oj).min(PIX);
+            let a = l + self.lo.saturating_sub(oj);
+            let e = row_end.min((l + self.hi).saturating_sub(oj));
+            if a < e {
+                // Output pixel (oi, oj') reads input (oi + ki - ph, oj' + kj - pw).
+                let at = (oi + self.ki - g.ph) * g.w + oj + (a - l) + self.kj - g.pw;
+                for (c, acc_c) in acc.iter().enumerate().skip(skip) {
+                    let dst = &mut gx[(ci0 + c) * plane + at..][..e - a];
+                    for (d, v) in dst.iter_mut().zip(&acc_c[a..e]) {
+                        *d += v;
                     }
                 }
             }
-            for (c, acc_c) in acc.iter().enumerate() {
-                let dst = &mut gx[(ci0 + c) * plane + self.at + oj - g.pw..][..PIX];
-                for l in next - oj..PIX {
-                    dst[l] += acc_c[l];
-                }
-            }
-            next = oj + PIX;
+            l = row_end;
         }
     }
 }
@@ -671,12 +711,14 @@ mod tests {
     #[test]
     fn conv2d_and_backward_match_column_oracles_bitwise() {
         // (b, cin, h, w, kh, kw, ph, pw): output widths 1, 5, 13 and 96
-        // (8-column blocks cross output rows), kh != kw, ph != pw, and
-        // planes smaller than the kernel. Every geometry runs at each
+        // (8-column blocks cross output rows), kh != kw, ph != pw,
+        // planes smaller than the kernel, and no padding (the sample is
+        // read in place). Every geometry runs at each
         // Co, so the naive loop (Co < 4), the short-M tile (4..=8) and
         // the packed tile (9, 32) all see it; then with NaN/±inf in x,
-        // in W and in gy, at 1 and 2 threads, with SIMD on (unless
-        // `TS3_SIMD=0` pinned it off for the process) and off.
+        // in W and in gy, at 1 and 2 threads. The SIMD flag is
+        // process-wide, so this test leaves it alone: `TS3_SIMD=0 cargo
+        // test` runs the same sweep on the scalar path (verify.sh gate 2).
         let geoms = [
             (2, 3, 4, 96, 5, 5, 2, 2),
             (2, 2, 3, 13, 3, 3, 1, 1),
@@ -686,40 +728,35 @@ mod tests {
             (1, 2, 2, 3, 5, 4, 2, 1),
             (2, 1, 1, 1, 3, 3, 1, 1),
             (1, 5, 3, 13, 1, 3, 0, 1),
+            (2, 3, 6, 9, 3, 2, 0, 0),
         ];
-        let (restore, simd_on) = (crate::par::max_threads(), crate::simd::avx2_active());
-        for simd in [simd_on, false] {
-            crate::simd::set_simd_enabled(simd);
-            for threads in [1, 2] {
-                crate::par::set_max_threads(threads);
-                for (gi, &(b, cin, h, w, kh, kw, ph, pw)) in geoms.iter().enumerate() {
-                    let (oh, ow) = (h + 2 * ph + 1 - kh, w + 2 * pw + 1 - kw);
-                    for cout in [1, 3, 4, 8, 9, 32] {
-                        let s = (gi * 100 + cout) as u64;
-                        let x = Tensor::randn(&[b, cin, h, w], s);
-                        let wt = Tensor::randn(&[cout, cin, kh, kw], s + 1);
-                        let g = Tensor::randn(&[b, cout, oh, ow], s + 2);
-                        let inputs = [
-                            (x.clone(), wt.clone(), g.clone()),
-                            (with_specials(x.clone()), wt.clone(), g.clone()),
-                            (x.clone(), with_specials(wt.clone()), g.clone()),
-                            (x, wt, with_specials(g)),
-                        ];
-                        for (vi, (x, wt, g)) in inputs.iter().enumerate() {
-                            let at = format!(
-                                "simd={simd} threads={threads} geom={gi} cout={cout} values={vi}"
-                            );
-                            assert_same_bits(&conv2d(x, wt, ph, pw), &conv2d_oracle(x, wt, ph, pw), &at);
-                            let (gx, gw) = conv2d_backward(x, wt, g, ph, pw);
-                            let (rx, rw) = conv2d_backward_reference(x, wt, g, ph, pw);
-                            assert_same_bits(&gx, &rx, &format!("gx {at}"));
-                            assert_same_bits(&gw, &rw, &format!("gw {at}"));
-                        }
+        let restore = crate::par::max_threads();
+        for threads in [1, 2] {
+            crate::par::set_max_threads(threads);
+            for (gi, &(b, cin, h, w, kh, kw, ph, pw)) in geoms.iter().enumerate() {
+                let (oh, ow) = (h + 2 * ph + 1 - kh, w + 2 * pw + 1 - kw);
+                for cout in [1, 3, 4, 8, 9, 32] {
+                    let s = (gi * 100 + cout) as u64;
+                    let x = Tensor::randn(&[b, cin, h, w], s);
+                    let wt = Tensor::randn(&[cout, cin, kh, kw], s + 1);
+                    let g = Tensor::randn(&[b, cout, oh, ow], s + 2);
+                    let inputs = [
+                        (x.clone(), wt.clone(), g.clone()),
+                        (with_specials(x.clone()), wt.clone(), g.clone()),
+                        (x.clone(), with_specials(wt.clone()), g.clone()),
+                        (x, wt, with_specials(g)),
+                    ];
+                    for (vi, (x, wt, g)) in inputs.iter().enumerate() {
+                        let at = format!("threads={threads} geom={gi} cout={cout} values={vi}");
+                        assert_same_bits(&conv2d(x, wt, ph, pw), &conv2d_oracle(x, wt, ph, pw), &at);
+                        let (gx, gw) = conv2d_backward(x, wt, g, ph, pw);
+                        let (rx, rw) = conv2d_backward_reference(x, wt, g, ph, pw);
+                        assert_same_bits(&gx, &rx, &format!("gx {at}"));
+                        assert_same_bits(&gw, &rw, &format!("gw {at}"));
                     }
                 }
             }
         }
-        crate::simd::set_simd_enabled(simd_on);
         crate::par::set_max_threads(restore);
     }
 

@@ -69,8 +69,10 @@
 //!
 //! Which tile a conv product takes: with AVX2, 4 ≤ `C_out` ≤ 8 runs the
 //! short-M tile; `C_out` > 8 (TimesNet, paper-scale TS3Net) and every
-//! product under `TS3_SIMD=0` run the packed tile, which gathers the
-//! view in `pack_b`; `C_out` < 4 and small products run the naive loop.
+//! product under `TS3_SIMD=0` run the packed tile, whose `pack_b` copies
+//! a panel of pixels from one output row as one run and gathers the
+//! rest through the tables; `C_out` < 4 and small products run the
+//! naive loop.
 //!
 //! Packing scratch lives in a thread-local and is reused across calls;
 //! with the persistent worker pool (see [`crate::par`]) this makes the
@@ -319,17 +321,24 @@ fn pack_b(b: MatRef, pc: usize, jc: usize, kc: usize, nc: usize, buf: &mut Vec<f
         let cols = NR.min(nc - jp * NR);
         let j0 = jc + jp * NR;
         let dst = &mut buf[jp * kc * NR..][..kc * NR];
+        // A table panel whose columns are one contiguous run (conv
+        // pixels of one output row) is copied like a dense row.
+        let run = match b.col {
+            Axis::Stride(1) => Some(j0),
+            Axis::Table(t) if t[j0..j0 + cols].windows(2).all(|w| w[1] == w[0] + 1) => Some(t[j0]),
+            _ => None,
+        };
         for p in 0..kc {
             let base = b.off + b.row.at(pc + p);
             let drow = &mut dst[p * NR..][..NR];
-            match b.col {
-                Axis::Stride(1) => drow[..cols].copy_from_slice(&b.data[base + j0..][..cols]),
-                Axis::Stride(cs) => {
+            match (run, b.col) {
+                (Some(c0), _) => drow[..cols].copy_from_slice(&b.data[base + c0..][..cols]),
+                (None, Axis::Stride(cs)) => {
                     for (j, v) in drow[..cols].iter_mut().enumerate() {
                         *v = b.data[base + (j0 + j) * cs];
                     }
                 }
-                Axis::Table(t) => {
+                (None, Axis::Table(t)) => {
                     for (v, &c) in drow[..cols].iter_mut().zip(&t[j0..]) {
                         *v = b.data[base + c];
                     }
