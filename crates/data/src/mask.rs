@@ -24,7 +24,7 @@ pub fn mask_batch(x: &Tensor, ratio: f32, seed: u64) -> MaskedBatch {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mask = Tensor::zeros(x.shape());
     for m in mask.as_mut_slice() {
-        if rng.gen::<f32>() < ratio {
+        if rng.gen_f32() < ratio {
             *m = 1.0;
         }
     }
@@ -60,7 +60,7 @@ pub fn inject_noise(x: &Tensor, ratio: f32, seed: u64) -> Tensor {
     for i in 0..n {
         #[allow(clippy::needless_range_loop)] // paired (i, ch) indexing
         for ch in 0..c {
-            if rng.gen::<f32>() < ratio {
+            if rng.gen_f32() < ratio {
                 let g = normal_f32(&mut rng);
                 let v = out.at(&[i, ch]);
                 out.set(&[i, ch], v + g * std[ch]);

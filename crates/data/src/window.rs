@@ -4,8 +4,7 @@
 
 use crate::scaler::StandardScaler;
 use ts3_rng::rngs::StdRng;
-use ts3_rng::seq::SliceRandom;
-use ts3_rng::SeedableRng;
+use ts3_rng::{Rng, SeedableRng};
 use ts3_tensor::Tensor;
 
 /// Which split of a dataset to read.
@@ -117,7 +116,7 @@ impl ForecastTask {
         let mut order: Vec<usize> = (0..n).collect();
         if split == Split::Train {
             let mut rng = StdRng::seed_from_u64(seed);
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
         }
         let mut batches: Vec<Vec<usize>> = order
             .chunks(batch_size)

@@ -21,7 +21,7 @@ fn arbitrary_f32s_round_trip_bit_exactly() {
         std::f32::consts::PI,
         1.0 / 3.0,
     ]);
-    values.extend((0..1000).map(|_| f32::from_bits(rng.gen::<u32>() & 0x7F7F_FFFF)));
+    values.extend((0..1000).map(|_| f32::from_bits(rng.next_u32() & 0x7F7F_FFFF)));
     let doc = Json::from_iter(values.iter().copied());
     let text = doc.to_string();
     let back = Json::parse(&text).unwrap();

@@ -91,7 +91,7 @@ impl Stream {
         (0..channels)
             .map(|ch| {
                 let ti = now as f32;
-                let noise: f32 = self.rng.gen::<f32>() - 0.5;
+                let noise: f32 = self.rng.gen_f32() - 0.5;
                 0.02 * ti
                     + (std::f32::consts::TAU * ti / 8.0 + ch as f32).sin()
                     + 0.3 * (std::f32::consts::TAU * ti / 24.0).cos()

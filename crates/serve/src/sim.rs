@@ -76,7 +76,7 @@ impl Client {
         for ti in 0..t {
             for ci in 0..c {
                 let phase = std::f32::consts::TAU * ti as f32 / 8.0 + ci as f32;
-                let noise: f32 = self.rng.gen::<f32>() - 0.5;
+                let noise: f32 = self.rng.gen_f32() - 0.5;
                 data.push(0.05 * ti as f32 + phase.sin() + 0.1 * noise);
             }
         }

@@ -420,7 +420,7 @@ fn online_forecasts_are_bitwise_identical_to_feeding_the_plan_directly() {
         let row: Vec<f32> = (0..CHANNELS)
             .map(|ch| {
                 let ti = now as f32;
-                let noise: f32 = rng.gen::<f32>() - 0.5;
+                let noise: f32 = rng.gen_f32() - 0.5;
                 0.02 * ti
                     + (std::f32::consts::TAU * ti / 8.0 + ch as f32).sin()
                     + 0.3 * (std::f32::consts::TAU * ti / 24.0).cos()

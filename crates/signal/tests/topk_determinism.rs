@@ -70,7 +70,7 @@ fn tied_selection_is_stable_across_runs_and_thread_caps() {
         let mut rng = StdRng::seed_from_u64(4242);
         let mut data = vec![0.0f32; t * c];
         for v in data.iter_mut() {
-            *v = rng.gen::<f32>() - 0.5;
+            *v = rng.gen_f32() - 0.5;
         }
         // Two pure tones, equal power, in disjoint channels: their mean
         // amplitudes collide exactly only if the arithmetic is

@@ -49,7 +49,7 @@ fn sample_row(rng: &mut StdRng, i: usize, channels: usize) -> Vec<f32> {
         .map(|ch| {
             let ti = i as f32;
             let phase = std::f32::consts::TAU * ti / 24.0 + ch as f32;
-            let noise: f32 = rng.gen::<f32>() - 0.5;
+            let noise: f32 = rng.gen_f32() - 0.5;
             0.01 * ti + phase.sin() + 0.3 * (std::f32::consts::TAU * ti / 7.0).cos() + 0.1 * noise
         })
         .collect()

@@ -55,7 +55,7 @@ fn row(rng: &mut StdRng, i: usize, channels: usize) -> Vec<f32> {
     (0..channels)
         .map(|ch| {
             let ti = i as f32;
-            let noise: f32 = rng.gen::<f32>() - 0.5;
+            let noise: f32 = rng.gen_f32() - 0.5;
             0.02 * ti
                 + (std::f32::consts::TAU * ti / 24.0 + ch as f32).sin()
                 + 0.4 * (std::f32::consts::TAU * ti / 7.0).cos()
