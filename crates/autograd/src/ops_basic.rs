@@ -242,11 +242,6 @@ impl Var {
             Box::new(move |g, _| vec![Some(g.mul(&mask))]),
         )
     }
-
-    /// Stop-gradient: passes the value through, blocks the cotangent.
-    pub fn detach(&self) -> Var {
-        Var::constant(self.value().clone())
-    }
 }
 
 #[cfg(test)]
@@ -349,15 +344,6 @@ mod tests {
         let x = leaf(vec![0.7], &[1]);
         x.exp().ln().backward();
         assert!((x.grad().unwrap().item() - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn detach_blocks_gradient() {
-        let x = leaf(vec![2.0], &[1]);
-        let y = x.detach().mul(&x);
-        y.backward();
-        // Only the non-detached path contributes: dy/dx = detach(x) = 2.
-        assert_eq!(x.grad().unwrap().as_slice(), &[2.0]);
     }
 
     #[test]

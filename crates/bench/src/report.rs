@@ -85,7 +85,7 @@ impl Table {
 
     /// Write the table as CSV into `results/<stem>.csv` (searching for the
     /// workspace `results/` directory from the current directory upward).
-    pub fn write_csv(&self, stem: &str) -> io::Result<PathBuf> {
+    fn write_csv(&self, stem: &str) -> io::Result<PathBuf> {
         let mut csv = String::new();
         for line in std::iter::once(&self.columns).chain(&self.rows) {
             csv.push_str(&line.join(","));

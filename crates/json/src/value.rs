@@ -42,14 +42,6 @@ impl Json {
         }
     }
 
-    /// The boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The numeric payload, if this is a `Num`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -165,7 +157,7 @@ mod tests {
             ("s", Json::from("hi")),
             ("a", Json::from_iter([1.0f32, 2.0])),
         ]);
-        assert_eq!(doc.get("b").unwrap().as_bool(), Some(true));
+        assert_eq!(doc.get("b"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("n").unwrap().as_f32(), Some(1.5));
         assert_eq!(doc.get("i").unwrap().as_usize(), Some(7));
         assert_eq!(doc.get("s").unwrap().as_str(), Some("hi"));

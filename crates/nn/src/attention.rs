@@ -66,7 +66,7 @@ impl MultiHeadAttention {
     }
 
     /// Cross-attention forward (`q` comes from `x`, `k`/`v` from `mem`).
-    pub fn forward_kv(&self, x: &Var, mem: &Var, ctx: &mut Ctx) -> Var {
+    fn forward_kv(&self, x: &Var, mem: &Var, ctx: &mut Ctx) -> Var {
         let (b, lq, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let lk = mem.shape()[1];
         let h = self.heads;

@@ -68,7 +68,7 @@ impl Default for FlightConfig {
 
 /// One tick-stamped entry in the event ring.
 #[derive(Debug, Clone)]
-pub struct FlightEvent {
+struct FlightEvent {
     /// Virtual tick the event happened at.
     pub tick: u64,
     /// Event kind (`respond`, `deadline_miss`, `drift`, `note`).
@@ -292,20 +292,6 @@ pub fn to_json() -> Option<Json> {
     }
     // ts3-lint: allow(no-unwrap-in-lib) flight mutex poisoning means a recording thread panicked; recorder state is unrecoverable
     recorder().lock().unwrap().as_ref().map(render)
-}
-
-/// Force a dump to [`FlightConfig::out`] now regardless of trigger
-/// state (the panic hook and orderly-shutdown paths). No-op when
-/// unconfigured, `out` is `None`, or a dump already happened.
-pub fn dump_now() {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    // ts3-lint: allow(no-unwrap-in-lib) flight mutex poisoning means a recording thread panicked; recorder state is unrecoverable
-    let mut guard = recorder().lock().unwrap();
-    if let Some(r) = guard.as_mut() {
-        dump_if_configured(r);
-    }
 }
 
 /// Install a panic hook that flushes the postmortem before the process

@@ -12,12 +12,12 @@
 //! * **Fixed cardinality.** Label values are caller-supplied strings
 //!   (tenant ids, model names); an unbounded set would turn the registry
 //!   into a leak. Each metric name admits at most
-//!   [`MAX_SERIES_PER_METRIC`] distinct non-empty label sets; further
+//!   `MAX_SERIES_PER_METRIC` distinct non-empty label sets; further
 //!   sets are dropped and counted in [`LabeledSnapshot::dropped_series`],
 //!   never silently lost. The zero-label series does not count toward
 //!   the cap.
 //! * **Exact tail latencies.** Histograms keep a log-bucketed 1-2-5
-//!   ladder ([`HIST_BOUNDS`]) *and* (up to [`MAX_EXACT_SAMPLES`]
+//!   ladder ([`HIST_BOUNDS`]) *and* (up to `MAX_EXACT_SAMPLES`
 //!   observations) the raw samples, so snapshots report exact
 //!   [`nearest_rank`] p50/p90/p99 rather than bucket upper bounds. Past
 //!   the cap the buckets keep counting and percentiles degrade to
@@ -48,11 +48,11 @@ pub const HIST_BOUNDS: [f64; 55] = [
 /// Most distinct non-empty label sets one metric name may accumulate;
 /// later sets are dropped (and counted) to keep cardinality
 /// production-safe.
-pub const MAX_SERIES_PER_METRIC: usize = 64;
+const MAX_SERIES_PER_METRIC: usize = 64;
 
 /// Raw samples kept per histogram for exact percentiles; beyond this the
 /// buckets keep counting but percentiles become bucket upper bounds.
-pub const MAX_EXACT_SAMPLES: usize = 8_192;
+const MAX_EXACT_SAMPLES: usize = 8_192;
 
 /// A canonical label set: `(key, value)` pairs sorted by key. Two call
 /// sites naming the same labels in a different order hit the same
@@ -157,7 +157,7 @@ pub fn gauge_set_l(name: &'static str, labels: &[(&'static str, &str)], value: f
 }
 
 /// Index of the 1-2-5 ladder bucket for `value` (overflow = last index).
-pub fn bucket_index(value: f64) -> usize {
+fn bucket_index(value: f64) -> usize {
     HIST_BOUNDS.iter().position(|&b| value <= b).unwrap_or(HIST_BOUNDS.len())
 }
 

@@ -22,7 +22,7 @@
 //! Export is [`timeline_to_json`] → a `ts3.timeline.v1` document with
 //! the raw request/batch records plus a per-tenant nearest-rank
 //! p50/p90/p99 tick-latency summary. Like the trace collector, storage
-//! is capped ([`MAX_REQUESTS`]/[`MAX_BATCHES`]) with overflow counted,
+//! is capped (`MAX_REQUESTS`/`MAX_BATCHES`) with overflow counted,
 //! and everything is gated on `TS3_TRACE >= 1` — the disabled path is
 //! one relaxed atomic load and allocates nothing.
 
@@ -34,9 +34,9 @@ use std::sync::{Mutex, OnceLock};
 use ts3_json::Json;
 
 /// Hard cap on stored request records (overflow counted, not stored).
-pub const MAX_REQUESTS: usize = 65_536;
+const MAX_REQUESTS: usize = 65_536;
 /// Hard cap on stored batch records.
-pub const MAX_BATCHES: usize = 16_384;
+const MAX_BATCHES: usize = 16_384;
 
 /// Timeline identity of one in-flight request. Minted by
 /// [`begin_request`]; `RequestCtx(0)` is the inert id handed out when
@@ -48,7 +48,7 @@ pub struct RequestCtx(pub u64);
 
 impl RequestCtx {
     /// The inert id: recording disabled or cap exceeded.
-    pub const NONE: RequestCtx = RequestCtx(0);
+    const NONE: RequestCtx = RequestCtx(0);
 
     /// True when this ctx refers to a live timeline record.
     #[inline]
@@ -123,7 +123,7 @@ thread_local! {
 }
 
 /// Mint a timeline id for a request entering the queue at tick
-/// `submitted`. Returns [`RequestCtx::NONE`] (inert) when tracing is
+/// `submitted`. Returns `RequestCtx::NONE` (inert) when tracing is
 /// disabled or the request cap is hit.
 pub fn begin_request(tenant: usize, submitted: u64, deadline: u64) -> RequestCtx {
     if !gate::enabled() {
@@ -196,7 +196,7 @@ pub fn mark_respond(ctx: RequestCtx, tick: u64, missed: bool) {
 /// dropping it files the [`BatchRec`] under the span's id
 /// ([`Span::id`], which requests pass to [`mark_flushed`]) with the
 /// span's duration as `total_ns`. Inert (id 0) when tracing is
-/// disabled; past [`MAX_BATCHES`] the span still records but the batch
+/// disabled; past `MAX_BATCHES` the span still records but the batch
 /// record is counted as dropped.
 pub fn begin_batch(tenant: usize, tick: u64, size: usize) -> Span {
     let span = trace::open("serve.batch", Role::Batch);

@@ -21,7 +21,7 @@ use std::time::Instant;
 /// hundred KB instead of dumping 100k near-identical kernel spans.
 pub const MAX_SPANS: usize = 100_000;
 /// Hard cap on stored event records.
-pub const MAX_EVENTS: usize = 100_000;
+const MAX_EVENTS: usize = 100_000;
 
 /// Effective span cap: `TS3_TRACE_MAX_SPANS` if set, else [`MAX_SPANS`].
 /// Read once per process — changing the env var later has no effect.

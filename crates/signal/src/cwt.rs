@@ -300,12 +300,6 @@ impl CwtPlan {
         }
     }
 
-    /// Frequencies `F_i = F_c / s_i` of each sub-band given the wavelet's
-    /// central frequency.
-    pub fn band_frequencies(&self, f_c: f32) -> Vec<f32> {
-        self.scales.iter().map(|&s| f_c / s).collect()
-    }
-
     /// Run one filter bank over a real signal, handing each scale's
     /// "same"-aligned output row to `sink(scale, row)`. The signal
     /// spectrum is computed once per distinct FFT length (through the
@@ -902,15 +896,6 @@ mod tests {
         plan.inverse_adjoint_into(&g, &mut adj);
         let rhs: f32 = w.iter().zip(&adj).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0));
-    }
-
-    #[test]
-    fn band_frequencies_increase_with_index() {
-        let plan = CwtPlan::new(64, 8, WaveletKind::ComplexGaussian);
-        let f = plan.band_frequencies(0.16);
-        for w in f.windows(2) {
-            assert!(w[0] < w[1]);
-        }
     }
 
     #[test]

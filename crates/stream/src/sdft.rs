@@ -1,6 +1,6 @@
 //! Sliding-DFT periodogram: an incrementally maintained channel-mean
-//! amplitude spectrum feeding the same top-k period selection as the
-//! batch path (`ts3_signal::topk_periods_from_spectrum`).
+//! amplitude spectrum feeding the same dominant-period selection as the
+//! batch path (`ts3_signal::dominant_period_from_spectrum`).
 //!
 //! Each `push` rotates every tracked bin by one sample —
 //! `X'_f = (X_f - x_old + x_new) * e^{+2*pi*i*f/T}` — which is O(1) per
@@ -19,9 +19,7 @@
 
 use crate::ring::RingWindow;
 use ts3_signal::fft::rfft_half_into;
-use ts3_signal::spectrum::{
-    dominant_period_from_spectrum, topk_periods_from_spectrum, PeriodComponent,
-};
+use ts3_signal::spectrum::dominant_period_from_spectrum;
 
 /// Incrementally maintained periodogram of the last `t` samples of a
 /// `c`-channel stream.
@@ -51,7 +49,7 @@ impl SlidingDft {
 
     /// Monitor with an explicit resync cadence; `resync_every = 0`
     /// disables resyncs (pure rotation, useful for drift measurement).
-    pub fn with_resync(t: usize, c: usize, resync_every: u64) -> Self {
+    fn with_resync(t: usize, c: usize, resync_every: u64) -> Self {
         assert!(t >= 4, "SlidingDft: window too short for period detection");
         assert!(c >= 1, "SlidingDft: channels must be >= 1");
         let half = t / 2;
@@ -77,19 +75,9 @@ impl SlidingDft {
         }
     }
 
-    /// Window length `T`.
-    pub fn window(&self) -> usize {
-        self.t
-    }
-
     /// True once a full window has been seen.
-    pub fn ready(&self) -> bool {
+    fn ready(&self) -> bool {
         self.ring.is_full()
-    }
-
-    /// Total samples pushed.
-    pub fn samples_seen(&self) -> u64 {
-        self.pushes
     }
 
     /// Slide the window by one multichannel row. O(c * t/2).
@@ -128,7 +116,7 @@ impl SlidingDft {
     /// Replace every bin with the exact `rfft` of the ring contents,
     /// discarding accumulated rotation round-off. Called automatically
     /// on the `resync_every` cadence once the window is full.
-    pub fn resync(&mut self) {
+    fn resync(&mut self) {
         assert!(self.ring.is_full(), "SlidingDft::resync: window not full yet");
         ts3_obs::counter_add("stream.sdft.resyncs", 1);
         let nbins = self.half + 1;
@@ -149,7 +137,7 @@ impl SlidingDft {
     /// Channel-mean amplitude spectrum (bins `0..=t/2`), in the exact
     /// accumulation order of `ts3_signal::mean_amplitude_spectrum` —
     /// bitwise equal to it at a resync tick, approximate in between.
-    pub fn mean_amplitude(&self) -> Vec<f32> {
+    fn mean_amplitude(&self) -> Vec<f32> {
         let nbins = self.half + 1;
         let mut amp = vec![0.0f32; nbins];
         for ch in 0..self.c {
@@ -162,17 +150,9 @@ impl SlidingDft {
         amp
     }
 
-    /// Top-k periods of the monitored spectrum (batch tie-break rules;
-    /// see `topk_periods_from_spectrum`). Panics before the first full
-    /// window.
-    pub fn topk(&self, k: usize) -> Vec<PeriodComponent> {
-        assert!(self.ready(), "SlidingDft::topk: window not full yet");
-        topk_periods_from_spectrum(&self.mean_amplitude(), self.t, k)
-    }
-
     /// Dominant period of the monitored spectrum (batch fallback rules).
     /// Panics before the first full window.
-    pub fn dominant_period(&self) -> usize {
+    fn dominant_period(&self) -> usize {
         assert!(self.ready(), "SlidingDft::dominant_period: window not full yet");
         dominant_period_from_spectrum(&self.mean_amplitude(), self.t)
     }
@@ -266,28 +246,5 @@ mod tests {
             s.push(&[(2.0 * std::f32::consts::PI * i as f32 / 6.0).sin()]);
         }
         assert_eq!(s.dominant_period(), 6);
-    }
-
-    #[test]
-    fn topk_matches_batch_selection_at_resync() {
-        let (t, c) = (96, 1);
-        let rows = series(2 * t, c, |i, _| {
-            2.0 * (2.0 * std::f32::consts::PI * i as f32 / 24.0).sin()
-                + (2.0 * std::f32::consts::PI * i as f32 / 8.0).sin()
-        });
-        let mut s = SlidingDft::new(t, c);
-        for row in &rows {
-            s.push(row);
-        }
-        // 2t pushes = exact resync tick; selection must agree bitwise.
-        let batch = topk_periods_from_spectrum(&batch_spectrum(&rows, t, c), t, 2);
-        let stream = s.topk(2);
-        assert_eq!(stream.len(), 2);
-        for (a, b) in stream.iter().zip(&batch) {
-            assert_eq!(a.frequency, b.frequency);
-            assert_eq!(a.period, b.period);
-            assert_eq!(a.amplitude.to_bits(), b.amplitude.to_bits());
-        }
-        assert_eq!(stream[0].period, 24);
     }
 }

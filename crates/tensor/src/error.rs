@@ -1,16 +1,11 @@
 use std::fmt;
 
-/// Errors produced by fallible tensor operations.
+/// Errors of the fallible products (`Tensor::try_matmul` and its
+/// transposed forms).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TensorError {
-    /// The provided data length does not match the product of the shape.
-    LengthMismatch { expected: usize, actual: usize },
-    /// Two shapes that must agree (exactly or by broadcasting) do not.
+    /// The operands' inner or batch dimensions do not agree.
     ShapeMismatch { lhs: Vec<usize>, rhs: Vec<usize>, op: &'static str },
-    /// A requested axis is out of range for the tensor rank.
-    AxisOutOfRange { axis: usize, rank: usize },
-    /// A slice/narrow range falls outside the tensor bounds.
-    IndexOutOfRange { index: usize, len: usize },
     /// An operation-specific invariant was violated.
     Invalid(String),
 }
@@ -18,18 +13,8 @@ pub enum TensorError {
 impl fmt::Display for TensorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TensorError::LengthMismatch { expected, actual } => write!(
-                f,
-                "data length {actual} does not match shape product {expected}"
-            ),
             TensorError::ShapeMismatch { lhs, rhs, op } => {
                 write!(f, "shape mismatch in `{op}`: {lhs:?} vs {rhs:?}")
-            }
-            TensorError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for rank-{rank} tensor")
-            }
-            TensorError::IndexOutOfRange { index, len } => {
-                write!(f, "index {index} out of range for length {len}")
             }
             TensorError::Invalid(msg) => write!(f, "{msg}"),
         }
@@ -44,15 +29,8 @@ mod tests {
 
     #[test]
     fn display_messages_are_descriptive() {
-        let e = TensorError::LengthMismatch { expected: 6, actual: 5 };
-        assert!(e.to_string().contains("5"));
-        assert!(e.to_string().contains("6"));
         let e = TensorError::ShapeMismatch { lhs: vec![2, 3], rhs: vec![4], op: "add" };
         assert!(e.to_string().contains("add"));
-        let e = TensorError::AxisOutOfRange { axis: 3, rank: 2 };
-        assert!(e.to_string().contains("axis 3"));
-        let e = TensorError::IndexOutOfRange { index: 9, len: 4 };
-        assert!(e.to_string().contains("9"));
         let e = TensorError::Invalid("bad".into());
         assert_eq!(e.to_string(), "bad");
     }

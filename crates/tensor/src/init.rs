@@ -8,7 +8,7 @@ use ts3_rng::{normal_f32, Rng, SeedableRng};
 impl Tensor {
     /// Standard-normal tensor from a caller-provided RNG (Box–Muller
     /// via [`ts3_rng::normal_f32`], the workspace's one normal sampler).
-    pub fn randn_with(shape: &[usize], rng: &mut StdRng) -> Tensor {
+    fn randn_with(shape: &[usize], rng: &mut StdRng) -> Tensor {
         let data = (0..numel(shape)).map(|_| normal_f32(rng)).collect();
         Tensor { data, shape: shape.to_vec() }
     }
@@ -23,12 +23,6 @@ impl Tensor {
     pub fn rand_uniform_with(shape: &[usize], lo: f32, hi: f32, rng: &mut StdRng) -> Tensor {
         let data = (0..numel(shape)).map(|_| rng.gen_range(lo..hi)).collect();
         Tensor { data, shape: shape.to_vec() }
-    }
-
-    /// Uniform `[lo, hi)` tensor from a fixed seed.
-    pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, seed: u64) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self::rand_uniform_with(shape, lo, hi, &mut rng)
     }
 
     /// Xavier/Glorot uniform initialisation for a weight of shape
@@ -76,7 +70,7 @@ mod tests {
 
     #[test]
     fn uniform_respects_bounds() {
-        let t = Tensor::rand_uniform(&[1000], -2.0, 3.0, 11);
+        let t = Tensor::rand_uniform_with(&[1000], -2.0, 3.0, &mut StdRng::seed_from_u64(11));
         assert!(t.min() >= -2.0);
         assert!(t.max() < 3.0);
         assert!((t.mean() - 0.5).abs() < 0.2);

@@ -1,8 +1,7 @@
-//! Reductions: full-tensor and per-axis sums, means, extrema, variance,
-//! plus softmax/log-softmax over the last axis.
+//! Reductions: full-tensor sums, means, extrema and variance, per-axis
+//! sums and means, plus softmax over the last axis.
 
-use crate::shape::check_axis;
-use crate::{Result, Tensor};
+use crate::Tensor;
 
 impl Tensor {
     /// Sum of all elements (f64 accumulation).
@@ -61,28 +60,21 @@ impl Tensor {
             .unwrap_or(0)
     }
 
-    /// Reduce one axis with `f`, starting each lane from `init`.
-    ///
-    /// The output keeps the same rank with the reduced axis set to 1 when
-    /// `keepdim` is true, otherwise the axis is removed.
-    pub fn try_reduce_axis(
-        &self,
-        axis: usize,
-        keepdim: bool,
-        init: f32,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<Tensor> {
-        check_axis(axis, self.rank())?;
+    /// Sum over one axis, each lane from `0.0` in axis order. The output
+    /// keeps the same rank with the reduced axis set to 1 when `keepdim`
+    /// is true, otherwise the axis is removed.
+    fn sum_over(&self, axis: usize, keepdim: bool, op: &str) -> Tensor {
+        assert!(axis < self.rank(), "{op}: axis out of range ({axis} for rank {})", self.rank());
         let outer: usize = self.shape[..axis].iter().product();
         let n = self.shape[axis];
         let inner: usize = self.shape[axis + 1..].iter().product();
-        let mut data = vec![init; outer * inner];
+        let mut data = vec![0.0; outer * inner];
         for o in 0..outer {
             for k in 0..n {
                 let base = (o * n + k) * inner;
                 let out_base = o * inner;
                 for i in 0..inner {
-                    data[out_base + i] = f(data[out_base + i], self.data[base + i]);
+                    data[out_base + i] += self.data[base + i];
                 }
             }
         }
@@ -92,21 +84,23 @@ impl Tensor {
         } else {
             shape.remove(axis);
         }
-        Ok(Tensor { data, shape })
+        Tensor { data, shape }
     }
 
     /// Sum over one axis (axis removed).
+    ///
+    /// # Panics
+    /// Panics if `axis >= rank`.
     pub fn sum_axis(&self, axis: usize) -> Tensor {
-        self.try_reduce_axis(axis, false, 0.0, |a, b| a + b)
-            // ts3-lint: allow(no-unwrap-in-lib) axis bounds are this method's documented # Panics contract
-            .expect("sum_axis: axis out of range")
+        self.sum_over(axis, false, "sum_axis")
     }
 
     /// Sum over one axis, keeping it as a length-1 dim.
+    ///
+    /// # Panics
+    /// Panics if `axis >= rank`.
     pub fn sum_axis_keepdim(&self, axis: usize) -> Tensor {
-        self.try_reduce_axis(axis, true, 0.0, |a, b| a + b)
-            // ts3-lint: allow(no-unwrap-in-lib) axis bounds are this method's documented # Panics contract
-            .expect("sum_axis_keepdim: axis out of range")
+        self.sum_over(axis, true, "sum_axis_keepdim")
     }
 
     /// Mean over one axis (axis removed).
@@ -119,27 +113,6 @@ impl Tensor {
     pub fn mean_axis_keepdim(&self, axis: usize) -> Tensor {
         let n = self.shape[axis] as f32;
         self.sum_axis_keepdim(axis).div_scalar(n)
-    }
-
-    /// Maximum over one axis (axis removed).
-    pub fn max_axis(&self, axis: usize) -> Tensor {
-        self.try_reduce_axis(axis, false, f32::NEG_INFINITY, f32::max)
-            // ts3-lint: allow(no-unwrap-in-lib) axis bounds are this method's documented # Panics contract
-            .expect("max_axis: axis out of range")
-    }
-
-    /// Minimum over one axis (axis removed).
-    pub fn min_axis(&self, axis: usize) -> Tensor {
-        self.try_reduce_axis(axis, false, f32::INFINITY, f32::min)
-            // ts3-lint: allow(no-unwrap-in-lib) axis bounds are this method's documented # Panics contract
-            .expect("min_axis: axis out of range")
-    }
-
-    /// Population variance over one axis, keeping the dim.
-    pub fn var_axis_keepdim(&self, axis: usize) -> Tensor {
-        let mean = self.mean_axis_keepdim(axis);
-        let centered = self.sub(&mean);
-        centered.square().mean_axis_keepdim(axis)
     }
 
     /// Numerically stable softmax over the **last** axis.
@@ -159,37 +132,6 @@ impl Tensor {
             }
         }
         out
-    }
-
-    /// Numerically stable log-softmax over the **last** axis.
-    pub fn log_softmax_last(&self) -> Tensor {
-        // ts3-lint: allow(no-unwrap-in-lib) rank >= 1 is this method's documented # Panics contract
-        let cols = *self.shape.last().expect("log_softmax_last: rank must be >= 1");
-        let mut out = self.clone();
-        for row in out.data.chunks_mut(cols) {
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
-            for v in row.iter_mut() {
-                *v -= lse;
-            }
-        }
-        out
-    }
-
-    /// Per-row (last axis) argmax indices.
-    pub fn argmax_last(&self) -> Vec<usize> {
-        // ts3-lint: allow(no-unwrap-in-lib) rank >= 1 is this method's documented # Panics contract
-        let cols = *self.shape.last().expect("argmax_last: rank must be >= 1");
-        self.data
-            .chunks(cols)
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect()
     }
 
     /// L2 norm of the whole tensor.
@@ -237,13 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn max_min_axis() {
-        let x = t(vec![1.0, 9.0, -3.0, 4.0], &[2, 2]);
-        assert_eq!(x.max_axis(1).as_slice(), &[9.0, 4.0]);
-        assert_eq!(x.min_axis(0).as_slice(), &[-3.0, 4.0]);
-    }
-
-    #[test]
     fn reduce_middle_axis_of_3d() {
         let x = Tensor::arange(24); // [0..24)
         let x = Tensor::from_vec(x.into_vec(), &[2, 3, 4]);
@@ -253,15 +188,6 @@ mod tests {
         assert_eq!(s.at(&[0, 0]), 12.0);
         // element [1,3] = 15 + 19 + 23 = 57
         assert_eq!(s.at(&[1, 3]), 57.0);
-    }
-
-    #[test]
-    fn var_axis_keepdim() {
-        let x = t(vec![1.0, 3.0, 2.0, 2.0], &[2, 2]);
-        let v = x.var_axis_keepdim(1);
-        assert_eq!(v.shape(), &[2, 1]);
-        assert!((v.as_slice()[0] - 1.0).abs() < 1e-6);
-        assert!(v.as_slice()[1].abs() < 1e-6);
     }
 
     #[test]
@@ -278,25 +204,14 @@ mod tests {
     }
 
     #[test]
-    fn log_softmax_consistent_with_softmax() {
-        let x = t(vec![0.5, -1.5, 2.0], &[3]);
-        let ls = x.log_softmax_last();
-        let s = x.softmax_last();
-        for (a, b) in ls.as_slice().iter().zip(s.as_slice()) {
-            assert!((a.exp() - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn argmax_variants() {
+    fn argmax_of_flattened() {
         let x = t(vec![1.0, 5.0, 2.0, 9.0, 0.0, 3.0], &[2, 3]);
         assert_eq!(x.argmax(), 3);
-        assert_eq!(x.argmax_last(), vec![1, 0]);
     }
 
     #[test]
-    fn reduce_axis_out_of_range_errors() {
-        let x = Tensor::ones(&[2, 2]);
-        assert!(x.try_reduce_axis(2, false, 0.0, |a, b| a + b).is_err());
+    #[should_panic(expected = "sum_axis: axis out of range")]
+    fn sum_axis_out_of_range_panics() {
+        let _ = Tensor::ones(&[2, 2]).sum_axis(2);
     }
 }
