@@ -9,9 +9,8 @@
 //! a public node constructor for operators with hand-written adjoints
 //! ([`Var::node`], used for the wavelet transform), a
 //! finite-difference gradient checker ([`gradcheck_var`]), and a
-//! thread-local tape-suppression guard for inference ([`NoGradGuard`] /
-//! [`no_grad`]) whose outputs are bitwise identical to the recorded
-//! forward.
+//! thread-local tape-suppression guard for inference ([`NoGradGuard`])
+//! whose outputs are bitwise identical to the recorded forward.
 //!
 //! ```
 //! use ts3_autograd::{Param, Var};
@@ -38,6 +37,6 @@ mod param;
 mod var;
 
 pub use gradcheck::{assert_gradcheck, gradcheck_var, GradCheckReport};
-pub use nograd::{is_recording, no_grad, NoGradGuard};
+pub use nograd::{is_recording, NoGradGuard};
 pub use param::Param;
 pub use var::{BackwardFn, Var};

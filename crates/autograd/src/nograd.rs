@@ -19,7 +19,7 @@
 //! `Var`s) and other threads' training loops are unaffected.
 //!
 //! ```
-//! use ts3_autograd::{no_grad, NoGradGuard, Param, Var};
+//! use ts3_autograd::{NoGradGuard, Param, Var};
 //! use ts3_tensor::Tensor;
 //!
 //! let w = Param::new("w", Tensor::from_vec(vec![2.0], &[1]));
@@ -32,17 +32,15 @@
 //!
 //! // Suppressed: identical value, no tape, no gradient.
 //! w.zero_grad();
-//! let y2 = no_grad(|| w.var().mul(&x));
+//! let y2 = {
+//!     let _guard = NoGradGuard::new();
+//!     assert!(!ts3_autograd::is_recording());
+//!     w.var().mul(&x)
+//! };
+//! assert!(ts3_autograd::is_recording());
 //! assert_eq!(y2.value().as_slice(), y.value().as_slice());
 //! y2.backward(); // a leaf: backward is a no-op
 //! assert_eq!(w.grad().as_slice(), &[0.0]);
-//!
-//! // RAII form:
-//! {
-//!     let _guard = NoGradGuard::new();
-//!     assert!(!ts3_autograd::is_recording());
-//! }
-//! assert!(ts3_autograd::is_recording());
 //! ```
 
 use std::cell::Cell;
@@ -81,12 +79,6 @@ impl Drop for NoGradGuard {
     }
 }
 
-/// Run `f` with tape recording suppressed on the current thread.
-pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
-    let _guard = NoGradGuard::new();
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +105,10 @@ mod tests {
         let w = Param::new("w", Tensor::randn(&[4, 4], 7));
         let x = Var::constant(Tensor::randn(&[4, 4], 8));
         let eager = w.var().matmul(&x).relu().sum();
-        let frozen = no_grad(|| w.var().matmul(&x).relu().sum());
+        let frozen = {
+            let _g = NoGradGuard::new();
+            w.var().matmul(&x).relu().sum()
+        };
         assert_eq!(
             eager.value().as_slice(),
             frozen.value().as_slice(),
@@ -124,17 +119,21 @@ mod tests {
     #[test]
     fn no_grad_output_is_a_leaf() {
         let w = Param::new("w", Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        let y = no_grad(|| w.var().mul(&w.var()).sum());
+        let y = {
+            let _g = NoGradGuard::new();
+            w.var().mul(&w.var()).sum()
+        };
         y.backward();
-        assert_eq!(w.grad().as_slice(), &[0.0, 0.0], "no gradient may flow under no_grad");
+        assert_eq!(w.grad().as_slice(), &[0.0, 0.0], "no gradient may flow under the guard");
     }
 
     #[test]
     fn recording_resumes_after_guard() {
         let w = Param::new("w", Tensor::from_vec(vec![3.0], &[1]));
-        no_grad(|| {
+        {
+            let _g = NoGradGuard::new();
             let _ = w.var().mul(&w.var());
-        });
+        }
         let y = w.var().mul(&w.var());
         y.backward();
         assert_eq!(w.grad().as_slice(), &[6.0]);

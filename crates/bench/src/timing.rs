@@ -45,7 +45,7 @@ fn measure_budget() -> Duration {
 
 /// Timing summary of one benchmark (per-iteration durations).
 #[derive(Debug, Clone, Copy)]
-pub struct Stats {
+struct Stats {
     /// Fastest observed sample (the classic low-noise estimator).
     pub min: Duration,
     /// 25th-percentile sample (lower edge of the IQR).
@@ -83,11 +83,6 @@ impl Harness {
             stats.iters
         );
         self.results.push((label.to_string(), stats));
-    }
-
-    /// All recorded results in registration order.
-    pub fn results(&self) -> &[(String, Stats)] {
-        &self.results
     }
 
     /// Write the results as a `ts3.bench.v1` document: one row per
@@ -174,7 +169,7 @@ fn run_one<R>(f: &mut impl FnMut() -> R) -> Stats {
 }
 
 /// Human format with µs/ms/s auto-ranging.
-pub fn fmt_duration(d: Duration) -> String {
+fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
         format!("{ns} ns")
@@ -215,8 +210,8 @@ mod tests {
         std::env::set_var("TS3_BENCH_MS", "5");
         let mut h = Harness::new();
         h.bench("noop/1", || black_box(1 + 1));
-        assert_eq!(h.results().len(), 1);
-        let s = h.results()[0].1;
+        assert_eq!(h.results.len(), 1);
+        let s = h.results[0].1;
         // At least MIN_SAMPLES samples of at least one iteration each,
         // however short the budget.
         assert!(s.iters >= MIN_SAMPLES as u64);

@@ -9,7 +9,7 @@ use ts3_autograd::{Param, Var};
 use ts3_tensor::Tensor;
 
 /// Classic sinusoidal positional table of shape `[len, d_model]`.
-pub fn sinusoidal_encoding(len: usize, d_model: usize) -> Tensor {
+fn sinusoidal_encoding(len: usize, d_model: usize) -> Tensor {
     let mut data = vec![0.0f32; len * d_model];
     for pos in 0..len {
         for i in 0..d_model {

@@ -12,7 +12,7 @@ use ts3_tensor::Tensor;
 /// Build the real/imaginary DFT analysis matrices of size `[t, modes]`
 /// restricted to the first `modes` non-negative frequencies:
 /// `Re[t,k] = cos(2 pi k t / T)`, `Im[t,k] = -sin(2 pi k t / T)`.
-pub fn dft_matrices(t: usize, modes: usize) -> (Tensor, Tensor) {
+fn dft_matrices(t: usize, modes: usize) -> (Tensor, Tensor) {
     let mut re = vec![0.0f32; t * modes];
     let mut im = vec![0.0f32; t * modes];
     for ti in 0..t {

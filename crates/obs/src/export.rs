@@ -121,17 +121,6 @@ pub fn metrics_to_json(snap: &MetricsSnapshot) -> Json {
     Json::obj([("counters", counters), ("gauges", gauges), ("histograms", hists)])
 }
 
-/// One-call dump of everything the process has recorded: the span tree,
-/// the registry's zero-label series and the dropped-record count.
-pub fn dump_json() -> Json {
-    let (spans, events, dropped) = crate::trace::snapshot_records();
-    Json::obj([
-        ("trace", trace_to_json(&spans, &events)),
-        ("metrics", metrics_to_json(&crate::metrics_snapshot())),
-        ("dropped_records", Json::Num(dropped as f64)),
-    ])
-}
-
 /// Aggregate recorded spans into folded-stacks text — one line per
 /// distinct span stack path, `root;child;leaf <self_us>` — the input
 /// format flamegraph tooling eats directly. Self-time is the span's
@@ -287,7 +276,11 @@ mod tests {
         crate::counter_add("export.calls", 3);
         crate::gauge_set("export.norm", 2.0);
         crate::observe("export.dur", 0.01);
-        let doc = dump_json();
+        let (spans, events, _) = crate::trace::snapshot_records();
+        let doc = Json::obj([
+            ("trace", trace_to_json(&spans, &events)),
+            ("metrics", metrics_to_json(&crate::metrics_snapshot())),
+        ]);
         let text = doc.to_string_pretty();
         let parsed = Json::parse(&text).expect("dump parses");
         let roots = parsed.get("trace").unwrap().get("spans").unwrap().as_array().unwrap();

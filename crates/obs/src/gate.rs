@@ -25,7 +25,7 @@ fn init_from_env() -> u8 {
 /// stderr echo. The first call parses `TS3_TRACE`; later calls are a
 /// single relaxed atomic load.
 #[inline]
-pub fn level() -> u8 {
+fn level() -> u8 {
     let l = LEVEL.load(Ordering::Relaxed);
     if l == UNINIT {
         init_from_env()

@@ -88,8 +88,8 @@ pub mod labels;
 pub mod timeline;
 pub mod trace;
 
-pub use export::{bench_json, dump_json, folded_stacks, metrics_to_json, trace_to_json, BenchRow};
-pub use gate::{enabled, explicitly_silent, level, set_level, verbose};
+pub use export::{bench_json, folded_stacks, metrics_to_json, trace_to_json, BenchRow};
+pub use gate::{enabled, explicitly_silent, set_level, verbose};
 pub use labels::{
     counter_add, counter_add_l, gauge_set, gauge_set_l, labeled_snapshot, metrics_snapshot,
     nearest_rank, observe, observe_l, reset_metrics, HistStats, LabeledSnapshot, MetricsSnapshot,

@@ -53,11 +53,6 @@ impl Complex32 {
         self.re * self.re + self.im * self.im
     }
 
-    /// Argument (phase angle) in radians.
-    pub fn arg(self) -> f32 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiply by a real scalar.
     pub fn scale(self, s: f32) -> Self {
         Complex32::new(self.re * s, self.im * s)
@@ -161,6 +156,5 @@ mod tests {
         assert!(z.re.abs() < 1e-6);
         assert!((z.im - 1.0).abs() < 1e-6);
         assert!((z.abs() - 1.0).abs() < 1e-6);
-        assert!((z.arg() - std::f32::consts::FRAC_PI_2).abs() < 1e-6);
     }
 }

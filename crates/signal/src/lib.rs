@@ -48,4 +48,4 @@ pub use spectrum::{
     mean_amplitude_spectrum_into, topk_periods, topk_periods_from_spectrum, topk_periods_multi,
     PeriodComponent,
 };
-pub use wavelet::{central_frequency, sample_wavelet, scale_set, WaveletKind};
+pub use wavelet::{sample_wavelet, scale_set, WaveletKind};
